@@ -5,8 +5,7 @@ from .graph import (CountedView, Edge, EdgeListError, Graph, GraphError,
 from .edge_cut import (ComponentResult, detect_component,
                        detect_component_param, verify_k_edge_out)
 from .vertex_cut import (SplitGraph, VertexComponentResult,
-                         detect_vertex_out_component, split_view,
-                         verify_vertex_out)
+                         detect_vertex_out_component, verify_vertex_out)
 from .connectivity import (VertexCut, fallback_exact, is_connectivity_at_least,
                            vertex_connectivity_directed,
                            vertex_connectivity_undirected)

@@ -13,22 +13,23 @@ import sys
 
 from . import connectivity, edge_cut, experiment, generators, mkecs, \
     oracles, testers, vertex_cut
-from .graph import (EdgeListError, GraphError, UndirectedGraph,
-                    dump_edge_list, load_edge_list)
+from .graph import (EdgeListError, GraphError, dump_edge_list, load_edge_list,
+                    load_undirected_edge_list)
+
+
+def _read_text(path):
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
 
 
 def _read_graph(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return load_edge_list(text)
+    return load_edge_list(_read_text(path))
 
 
 def _read_undirected(path):
-    g = _read_graph(path)
-    return UndirectedGraph(g.n, [(e.tail, e.head) for e in g.edges])
+    return load_undirected_edge_list(_read_text(path))
 
 
 def _emit(obj):
@@ -102,10 +103,10 @@ def cmd_mkecs(args):
 
 
 def cmd_test_connectivity(args):
-    g = _read_graph(args.graph)
     if args.undirected:
-        und = UndirectedGraph(g.n, [(e.tail, e.head) for e in g.edges])
-        g = und.to_directed()
+        g = _read_undirected(args.graph).to_directed()
+    else:
+        g = _read_graph(args.graph)
     degree = args.degree if args.degree is not None else \
         (g.m / g.n if g.n else 1.0)
     cfg = testers.TesterConfig(k=args.k, epsilon=args.epsilon,

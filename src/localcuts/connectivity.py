@@ -11,11 +11,10 @@ with a scan-first-forest certificate.
 
 import dataclasses
 import math
-import random
 
 from . import flow, vertex_cut
-from .graph import (Graph, UndirectedGraph, graph_sccs, is_strongly_connected,
-                    reverse_graph, undirected_components)
+from .graph import (UndirectedGraph, components, graph_sccs,
+                    is_strongly_connected, reverse_graph, undirected_components)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -342,24 +341,12 @@ def scan_first_certificate(und, k):
 def _lift_cutset(und, middle):
     """Re-partition the input around a separator found on a certificate."""
     alive = set(range(1, und.n + 1)) - set(middle)
-    if not alive:
+    comps = components(alive, [e for e in und.edges
+                               if e.tail in alive and e.head in alive],
+                       undirected=True)
+    if len(comps) < 2:
         return None
-    adj = {v: set() for v in alive}
-    for e in und.edges:
-        if e.tail in alive and e.head in alive:
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-    start = next(iter(alive))
-    comp = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    if comp == alive:
-        return None
+    comp = comps[0]
     return VertexCut(frozenset(comp), frozenset(middle),
                      frozenset(alive - comp))
 

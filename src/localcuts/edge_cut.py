@@ -16,9 +16,9 @@ from .graph import CountedView, Overlay
 
 @dataclasses.dataclass
 class DfsResult:
-    # F: edges in processing order, each with current orientation and the
-    # way it was reached ("out" scan of a visited vertex, or "in" scan of
-    # a vertex that became interior in symmetric modes).
+    # F: edges in processing order, each with its current orientation and
+    # the visited vertex whose scan charged it (its own out-scan, or the
+    # in-scan of its interior partner in symmetric modes).
     processed: list
     visited: set
     tree_parent: dict
@@ -79,7 +79,7 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
                     e = view.query_in_edge(q, i)
                     if e is None:
                         break
-                    processed.append((e, "in"))
+                    processed.append((e, u))
                     if len(processed) == budget:
                         stop = True
                         break
@@ -91,7 +91,7 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
             e = view.query_out_edge(u, i)
             if e is None:
                 break
-            processed.append((e, "out"))
+            processed.append((e, u))
             if e.head != s and e.head not in tree_parent:
                 tree_parent[e.head] = (u, e.id)
             stack.append(e.head)
@@ -120,20 +120,20 @@ def _sample_path(overlay, s, res, rng):
     already-reversed edge the path runs to its tail and continues over
     the edge itself, ending at the original tail.  Edges discovered by
     in-scans can have a tail outside the DFS tree; then the path to the
-    in-tree head is used instead (reversing any root path preserves the
-    soundness and minimality guarantees).
+    in-tree head is used instead, and when the head is outside too, the
+    path to the visited vertex whose scan charged the edge (reversing
+    any root path preserves the soundness and minimality guarantees).
     """
-    e, _kind = res.processed[rng.randrange(len(res.processed))]
+    e, charger = res.processed[rng.randrange(len(res.processed))]
 
     def in_tree(v):
         return v == s or v in res.tree_parent
 
-    if not overlay.is_reversed(e.id):
-        end = e.tail if in_tree(e.tail) else e.head
-        return _tree_path(res.tree_parent, s, end)
     if in_tree(e.tail):
-        return _tree_path(res.tree_parent, s, e.tail) + [e.id]
-    return _tree_path(res.tree_parent, s, e.head)
+        path = _tree_path(res.tree_parent, s, e.tail)
+        return path + [e.id] if overlay.is_reversed(e.id) else path
+    end = e.head if in_tree(e.head) else charger
+    return _tree_path(res.tree_parent, s, end)
 
 
 def _run_detection(base, s, k, round_budget, final_budget, final_accept, rng,

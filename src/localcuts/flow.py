@@ -94,12 +94,7 @@ def st_vertex_cut_at_most(g, s, t, k):
     if s == t:
         raise ValueError("endpoints must differ")
     cap, source, sink = vertex_split_network(g, s, t, k)
-    flow = 0
-    while flow < k:
-        if _bfs_augment(cap, source, sink) == 0:
-            break
-        flow += 1
-    else:
+    if max_flow_capped(cap, source, sink, k) >= k:
         return None
     reach = _residual_reachable(cap, source)
     left = set()
@@ -127,12 +122,7 @@ def st_edge_cut_below(n, edges, s, t, k):
     if s == t:
         raise ValueError("endpoints must differ")
     cap = edge_flow_network(n, edges)
-    flow = 0
-    while flow < k:
-        if _bfs_augment(cap, s, t) == 0:
-            break
-        flow += 1
-    else:
+    if max_flow_capped(cap, s, t, k) >= k:
         return None
     side = _residual_reachable(cap, s)
     cut = [e.id for e in edges if e.tail in side and e.head not in side]

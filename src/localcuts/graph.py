@@ -1,14 +1,14 @@
 """Directed multigraph with incidence-list query access.
 
-Vertices are 1-based integers.  Edges carry stable integer ids so that
-overlays can reverse individual edges without touching the base graph.
+Vertices are 1-based integers.  The id of an edge is its position in
+`g.edges`, 0..m-1, so overlays can reverse individual edges by id
+without touching the base graph.
 All local algorithms interact with a graph through CountedView, which
 charges one query per incidence probe (including the probe that learns
 an incidence slot is absent).
 """
 
 import dataclasses
-from collections import deque
 
 
 class GraphError(ValueError):
@@ -29,7 +29,7 @@ class Edge:
 class Graph:
     """Immutable directed multigraph over vertices 1..n."""
 
-    __slots__ = ("n", "edges", "_out", "_in", "_by_id")
+    __slots__ = ("n", "m", "edges", "_out", "_in")
 
     def __init__(self, n, pairs):
         if n < 0:
@@ -40,30 +40,25 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build from Edge triples, keeping the given ids (need not be
-        positional).  Incidence lists follow the iteration order."""
+        """Build from Edge triples whose ids are their positions."""
         g = cls.__new__(cls)
         g.n = n
         g.edges = list(edges)
+        for i, e in enumerate(g.edges):
+            if e.id != i:
+                raise GraphError("edge id %d at position %d" % (e.id, i))
         g._index()
         return g
 
     def _index(self):
+        self.m = len(self.edges)
         self._out = [[] for _ in range(self.n + 1)]
         self._in = [[] for _ in range(self.n + 1)]
-        self._by_id = {}
         for e in self.edges:
             if not (1 <= e.tail <= self.n and 1 <= e.head <= self.n):
                 raise GraphError("edge %d endpoint out of range" % e.id)
-            if e.id in self._by_id:
-                raise GraphError("duplicate edge id %d" % e.id)
-            self._by_id[e.id] = e
             self._out[e.tail].append(e.id)
             self._in[e.head].append(e.id)
-
-    @property
-    def m(self):
-        return len(self.edges)
 
     def has_vertex(self, v):
         return 1 <= v <= self.n
@@ -78,10 +73,9 @@ class Graph:
         return self._in[u]
 
     def edge(self, eid):
-        try:
-            return self._by_id[eid]
-        except KeyError:
-            raise GraphError("unknown edge id %d" % eid) from None
+        if 0 <= eid < self.m:
+            return self.edges[eid]
+        raise GraphError("unknown edge id %d" % eid)
 
     def out_degree(self, u):
         return len(self._out[u])
@@ -125,12 +119,7 @@ class UndirectedGraph:
         return d
 
     def to_directed(self):
-        """Antiparallel-pair encoding: undirected edge i maps to ids 2i, 2i+1."""
-        es = []
-        for e in self.edges:
-            es.append(Edge(2 * e.id, e.tail, e.head))
-            es.append(Edge(2 * e.id + 1, e.head, e.tail))
-        return Graph.from_edges(self.n, es)
+        return Graph.from_edges(self.n, bidirect(self.edges))
 
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):
@@ -139,6 +128,20 @@ class UndirectedGraph:
 
     def __repr__(self):
         return "UndirectedGraph(n=%d, m=%d)" % (self.n, self.m)
+
+
+def bidirect(edges):
+    """Antiparallel-pair encoding of undirected edges.
+
+    Undirected edge i becomes the directed edges 2i (tail -> head) and
+    2i + 1 (head -> tail), in that order, so a directed id maps back to
+    its undirected edge by `eid // 2`.
+    """
+    out = []
+    for e in edges:
+        out.append(Edge(2 * e.id, e.tail, e.head))
+        out.append(Edge(2 * e.id + 1, e.head, e.tail))
+    return out
 
 
 def reverse_graph(g):
@@ -375,26 +378,21 @@ def is_strongly_connected(g):
     return len(graph_sccs(g)) == 1
 
 
+def components(vertices, edges, undirected=False):
+    """Strongly connected components of the edge list on `vertices`.
+
+    With `undirected` every edge is also followed from head to tail, so
+    the result is the connected components.  Every endpoint must lie in
+    `vertices`; the order is that of strongly_connected_components.
+    """
+    adj = {v: [] for v in vertices}
+    for e in edges:
+        adj[e.tail].append(e.head)
+        if undirected:
+            adj[e.head].append(e.tail)
+    return strongly_connected_components(vertices, adj.__getitem__)
+
+
 def undirected_components(und):
     """Connected components of an UndirectedGraph, as vertex sets."""
-    adj = {v: [] for v in range(1, und.n + 1)}
-    for e in und.edges:
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    seen = set()
-    comps = []
-    for v in adj:
-        if v in seen:
-            continue
-        comp = {v}
-        seen.add(v)
-        q = deque([v])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    seen.add(w)
-                    q.append(w)
-        comps.append(comp)
-    return comps
+    return components(range(1, und.n + 1), und.edges, undirected=True)

@@ -14,8 +14,8 @@ import math
 from collections import deque
 
 from . import flow
-from .edge_cut import detect_component_param, out_edge_ids
-from .graph import Edge, Graph, UndirectedGraph, strongly_connected_components
+from .edge_cut import detect_component_param
+from .graph import Graph, UndirectedGraph, bidirect, components, reverse_graph
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,13 +34,6 @@ class Decomposition:
 
     def __eq__(self, other):
         return self.k == other.k and self.as_sorted() == other.as_sorted()
-
-
-def _sccs_of(vertices, edges):
-    adj = {v: [] for v in vertices}
-    for e in edges:
-        adj[e.tail].append(e.head)
-    return strongly_connected_components(vertices, lambda v: adj[v])
 
 
 def _cut_below(vertices, edges, k):
@@ -77,7 +70,7 @@ def _baseline(vertices, edges, k):
         verts, eds = stack.pop()
         inner = [e for e in eds if e.tail in verts and e.head in verts
                  and e.tail != e.head]
-        for comp in _sccs_of(verts, inner):
+        for comp in components(verts, inner):
             if len(comp) == 1:
                 classes.append(frozenset(comp))
                 continue
@@ -107,14 +100,6 @@ def detection_edge_bound(k, delta):
     return max(2 * k * (delta + k), delta)
 
 
-def _graph_on(n, edges):
-    return Graph.from_edges(n, edges)
-
-
-def _reverse_edges(edges):
-    return [Edge(e.id, e.head, e.tail) for e in edges]
-
-
 def _local_directed(vertices, edges, k, delta, rng, classes):
     """Local peeling of one strongly connected piece (directed scheme)."""
     n_max = max(vertices) if vertices else 0
@@ -130,16 +115,20 @@ def _local_directed(vertices, edges, k, delta, rng, classes):
 
     worklist = deque(sorted(live))
     queued = set(worklist)
+    # the detection graphs change only when a component is carved off
+    fwd = bwd = None
     while worklist:
         s = worklist.popleft()
         queued.discard(s)
         if s not in live:
             continue
-        fwd = _graph_on(n_max, live_edges)
+        if fwd is None:
+            fwd = Graph(n_max, [(e.tail, e.head) for e in live_edges])
         res = detect_component_param(fwd, s, kd, delta, p, rng)
         members = set(res.members)
         if not members:
-            bwd = _graph_on(n_max, _reverse_edges(live_edges))
+            if bwd is None:
+                bwd = reverse_graph(fwd)
             res = detect_component_param(bwd, s, kd, delta, p, rng)
             members = set(res.members)
         if not members:
@@ -160,13 +149,14 @@ def _local_directed(vertices, edges, k, delta, rng, classes):
         classes.extend(_baseline(members, inner, k))
         live -= members
         live_edges = rest
+        fwd = bwd = None
         for v in sorted(frontier & live):
             if v not in queued:
                 worklist.append(v)
                 queued.add(v)
     if not live:
         return
-    for comp in _sccs_of(live, live_edges):
+    for comp in components(live, live_edges):
         comp_edges = [e for e in live_edges
                       if e.tail in comp and e.head in comp]
         if len(comp) == 1:
@@ -178,9 +168,7 @@ def _local_directed(vertices, edges, k, delta, rng, classes):
             continue
         removed = set(cut.cut_edges)
         kept = [e for e in comp_edges if e.id not in removed]
-        touched = {e.tail for e in comp_edges if e.id in removed}
-        touched |= {e.head for e in comp_edges if e.id in removed}
-        for sub in _sccs_of(comp, kept):
+        for sub in components(comp, kept):
             sub_edges = [e for e in kept
                          if e.tail in sub and e.head in sub]
             _local_directed(sub, sub_edges, k, delta, rng, classes)
@@ -199,8 +187,8 @@ def mkecs_directed(g, k, rng, delta=None):
     if delta is None:
         delta = max(1, math.ceil(math.sqrt(max(1, g.m) / k)))
     classes = []
-    for comp in _sccs_of(set(g.vertices()), [e for e in g.edges
-                                             if e.tail != e.head]):
+    for comp in components(set(g.vertices()), [e for e in g.edges
+                                                if e.tail != e.head]):
         if len(comp) == 1:
             classes.append(frozenset(comp))
             continue
@@ -265,14 +253,6 @@ def sparse_certificate(und, k):
     return UndirectedGraph(und.n, [(e.tail, e.head) for e in kept])
 
 
-def _bidirect(edges):
-    out = []
-    for e in edges:
-        out.append(Edge(2 * e.id, e.tail, e.head))
-        out.append(Edge(2 * e.id + 1, e.head, e.tail))
-    return out
-
-
 def _undirected_boundary(edges, members):
     return [e for e in edges
             if (e.tail in members) != (e.head in members)]
@@ -290,11 +270,13 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
     live_edges = list(uedges)
 
     if 2 * len(live_edges) <= detection_edge_bound(kd, delta):
-        classes.extend(_baseline(live, _bidirect(live_edges), k))
+        classes.extend(_baseline(live, bidirect(live_edges), k))
         return
 
     cert = _forest_rounds(n_max, live_edges, k)
     removed_since = 0
+    # the certificate graph changes only on a carve or a rebuild
+    cg = None
 
     worklist = deque(sorted(live))
     queued = set(worklist)
@@ -306,7 +288,10 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
         if removed_since > max(len(live), len(cert) // 2):
             cert = _forest_rounds(n_max, live_edges, k)
             removed_since = 0
-        cg = _graph_on(n_max, _bidirect(cert))
+            cg = None
+        if cg is None:
+            cg = UndirectedGraph(
+                n_max, [(e.tail, e.head) for e in cert]).to_directed()
         res = detect_component_param(cg, s, kd, delta, p, rng)
         members = set(res.members)
         if not members:
@@ -319,7 +304,7 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
         boundary_ids = {e.id for e in boundary}
         inner = [e for e in live_edges
                  if e.tail in members and e.head in members]
-        classes.extend(_baseline(members, _bidirect(inner), k))
+        classes.extend(_baseline(members, bidirect(inner), k))
         live -= members
         live_edges = [e for e in live_edges
                       if e.id not in boundary_ids and
@@ -328,6 +313,7 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
                 if e.id not in boundary_ids and
                 e.tail not in members and e.head not in members]
         removed_since += len(boundary_ids) + len(inner)
+        cg = None
         for e in boundary:
             v = e.tail if e.tail in live else e.head
             if v in live and v not in queued:
@@ -337,29 +323,20 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
         return
     # global phase on a fresh certificate of what remains
     cert = _forest_rounds(n_max, live_edges, k)
-    adj = {v: [] for v in live}
-    for e in live_edges:
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    comps = strongly_connected_components(live, lambda v: adj[v])
-    for comp in comps:
+    for comp in components(live, live_edges, undirected=True):
         comp_u = [e for e in live_edges
                   if e.tail in comp and e.head in comp]
         if len(comp) == 1:
             classes.append(frozenset(comp))
             continue
         comp_cert = [e for e in cert if e.tail in comp and e.head in comp]
-        cut = _cut_below(comp, _bidirect(comp_cert), k)
+        cut = _cut_below(comp, bidirect(comp_cert), k)
         if cut is None:
             classes.append(frozenset(comp))
             continue
         cut_uids = {eid // 2 for eid in cut.cut_edges}
         kept = [e for e in comp_u if e.id not in cut_uids]
-        sub_adj = {v: [] for v in comp}
-        for e in kept:
-            sub_adj[e.tail].append(e.head)
-            sub_adj[e.head].append(e.tail)
-        for sub in strongly_connected_components(comp, lambda v: sub_adj[v]):
+        for sub in components(comp, kept, undirected=True):
             sub_edges = [e for e in kept
                          if e.tail in sub and e.head in sub]
             if len(sub) == 1:
@@ -383,12 +360,7 @@ def mkecs_undirected(und, k, rng, gamma=None):
         gamma = max(1, math.ceil(math.sqrt(und.n) / k))
     classes = []
     simple = [e for e in und.edges if e.tail != e.head]
-    adj = {v: [] for v in range(1, und.n + 1)}
-    for e in simple:
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    for comp in strongly_connected_components(range(1, und.n + 1),
-                                              lambda v: adj[v]):
+    for comp in components(range(1, und.n + 1), simple, undirected=True):
         if len(comp) == 1:
             classes.append(frozenset(comp))
             continue

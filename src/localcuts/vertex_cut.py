@@ -11,8 +11,8 @@ most a factor of three.
 
 import dataclasses
 
-from .edge_cut import _run_detection, repetitions_for
-from .graph import Edge, GraphError
+from .edge_cut import _run_detection, internal_edge_count, repetitions_for
+from .graph import Edge, Graph, GraphError
 
 
 class SplitGraph:
@@ -24,15 +24,13 @@ class SplitGraph:
     The transit edge occupies position 1 of the in-copy's out-incidence.
     """
 
-    __slots__ = ("base", "s", "_transit0")
+    __slots__ = ("base", "s")
 
     def __init__(self, base, s):
         if not base.has_vertex(s):
             raise GraphError("unknown start vertex %d" % s)
         self.base = base
         self.s = s
-        # transit ids start after the largest base edge id
-        self._transit0 = 1 + max((e.id for e in base.edges), default=-1)
 
     @property
     def vertex_count(self):
@@ -59,10 +57,11 @@ class SplitGraph:
 
     def edge(self, eid):
         base = self.base
-        if eid < self._transit0:
-            e = base.edge(eid)
+        m = base.m
+        if 0 <= eid < m:
+            e = base.edges[eid]
             return Edge(eid, e.tail, self._in_copy(e.head))
-        v = eid - self._transit0
+        v = eid - m
         if not (1 <= v <= base.n) or v == self.s:
             raise GraphError("unknown edge id %d" % eid)
         return Edge(eid, base.n + v, v)
@@ -73,14 +72,14 @@ class SplitGraph:
             return base.out_ids(u)
         if u <= base.n:
             return base.out_ids(u)
-        return [self._transit0 + (u - base.n)]
+        return [base.m + u - base.n]
 
     def in_ids(self, u):
         base = self.base
         if u == self.s:
             return base.in_ids(u)
         if u <= base.n:
-            return [self._transit0 + u]
+            return [base.m + u]
         return base.in_ids(u - base.n)
 
     def interior_partner(self, v):
@@ -115,12 +114,7 @@ class SplitGraph:
         for v in range(1, n + 1):
             if v != self.s:
                 edges.append((remap(n + v), v))
-        from .graph import Graph
         return Graph(2 * n - 1, edges)
-
-
-def split_view(g, s):
-    return SplitGraph(g, s)
 
 
 @dataclasses.dataclass
@@ -143,11 +137,9 @@ def volume(g, members):
 
 
 def symmetric_volume(g, members):
-    seen = 0
-    for e in g.edges:
-        if e.tail in members or e.head in members:
-            seen += 1
-    return seen
+    """Edges with an endpoint in members, read from members' incidences."""
+    degrees = sum(g.out_degree(v) + g.in_degree(v) for v in members)
+    return degrees - internal_edge_count(g, members)
 
 
 def boundary_of(g, members):
