@@ -6,6 +6,14 @@ vertices and running the local detectors at doubling size budgets finds
 a witness with constant probability.  Rejection always ships a witness
 that has been re-validated against the graph, so k-connected inputs are
 never rejected.
+
+Query accounting: a decision on a graph small enough for its budget
+reads the whole graph and decides exactly by capped flows.  Within one
+tester call, the first such read is charged m and later ones nothing,
+since the reverse graph has the same edges; each (orientation, vertex)
+pair is decided exactly at most once; and once both orientations of
+every vertex are decided and none is a Yes, the call accepts at once.
+Detector rounds are charged the queries the detector made.
 """
 
 import dataclasses
@@ -83,13 +91,74 @@ def _effective(cfg):
     return cfg.epsilon, cfg.degree
 
 
-def local_decision_edge(g, s, k, gamma, cfg, rng):
+def _exact_edge(g, s, k):
+    """(yes, witness): is s in a proper (k-1)-edge-out component of g?
+
+    True iff some other vertex is separated from s by fewer than k
+    edges; decided by capped flows from s.  Draws no randomness.
+    """
+    for t in g.vertices():
+        if t == s:
+            continue
+        res = flow.st_edge_cut_below(g.n, g.edges, s, t, k)
+        if res is not None:
+            side, cut = res
+            return True, edge_cut.ComponentResult(
+                frozenset(side), tuple(cut),
+                edge_cut.internal_edge_count(g, side), g.m, 1, g.m)
+    return False, None
+
+
+def _exact_vertex(g, s, k):
+    """(yes, witness): does a set of fewer than k vertices separate some
+    t not adjacent from s, with s on the near side?  Draws no randomness.
+    """
+    adjacent = {(e.tail, e.head) for e in g.edges}
+    for t in g.vertices():
+        if t == s or (s, t) in adjacent:
+            continue
+        res = flow.st_vertex_cut_at_most(g, s, t, k)
+        if res is not None:
+            left, middle, right = res
+            if s not in left or not right:
+                continue
+            return True, vertex_cut.VertexComponentResult(
+                frozenset(left), frozenset(middle),
+                vertex_cut.volume(g, left),
+                vertex_cut.symmetric_volume(g, left), g.m, 1, g.m)
+    return False, None
+
+
+def _read_whole(exact, g, s, k, table, orient):
+    """Exact decision of s on g with its query charge.
+
+    Without a table every read costs g.m.  With one, the first read of
+    the call costs g.m, and each (orient, s) is decided at most once.
+    """
+    if table is None:
+        yes, witness = exact(g, s, k)
+        return yes, witness, g.m
+    charge = 0 if table else g.m
+    key = (orient, s)
+    if key not in table:
+        table[key] = exact(g, s, k)
+    yes, witness = table[key]
+    return yes, witness, charge
+
+
+def local_decision_edge(g, s, k, gamma, cfg, rng, table=None, orient="out"):
     """Is s in a proper (k-1)-edge-out component of about gamma vertices?
 
     Returns (yes, witness, queries).  Small graphs are read whole and
     decided exactly by capped flows; otherwise the local detector runs
     at success level 5/6.  A Yes answer always comes with a component
     that has at most k-1 leaving edges and is a proper vertex subset.
+
+    A whole-graph read is charged g.m.  `table` is the tester call's
+    record of exact decisions, keyed by (orientation, vertex), and
+    `orient` names the orientation g is in: with a table, only the
+    call's first read is charged and an entry already decided is
+    returned as recorded.
     """
     kd = k - 1
     if cfg.model == "bounded":
@@ -97,48 +166,27 @@ def local_decision_edge(g, s, k, gamma, cfg, rng):
     else:
         delta = max(1, gamma * gamma)
     if g.m <= 2 * k * (delta + k):
-        # exact: s lies in a proper (k-1)-edge-out component iff some
-        # other vertex is separated from s by fewer than k edges
-        for t in g.vertices():
-            if t == s:
-                continue
-            res = flow.st_edge_cut_below(g.n, g.edges, s, t, k)
-            if res is not None:
-                side, cut = res
-                witness = edge_cut.ComponentResult(
-                    frozenset(side), tuple(cut),
-                    edge_cut.internal_edge_count(g, side), g.m, 1, g.m)
-                return True, witness, g.m
-        return False, None, g.m
+        return _read_whole(_exact_edge, g, s, k, table, orient)
     res = edge_cut.detect_component_param(g, s, kd, delta, 5.0 / 6.0, rng)
     if res and len(res.members) < g.n:
         return True, res, res.queries_used
     return False, None, res.queries_used
 
 
-def local_decision_vertex(g, s, k, gamma, cfg, rng):
-    """Vertex analogue; budgets track volume instead of edge size."""
+def local_decision_vertex(g, s, k, gamma, cfg, rng, table=None,
+                          orient="out"):
+    """Vertex analogue; budgets track volume instead of edge size.
+
+    Whole-graph reads are charged and recorded in `table` as in
+    `local_decision_edge`.
+    """
     kd = k - 1
     if cfg.model == "bounded":
         delta = max(1, math.ceil(gamma * cfg.degree))
     else:
         delta = max(1, 2 * gamma * gamma * k)
     if g.m <= 2 * k * (delta + k):
-        adjacent = {(e.tail, e.head) for e in g.edges}
-        for t in g.vertices():
-            if t == s or (s, t) in adjacent:
-                continue
-            res = flow.st_vertex_cut_at_most(g, s, t, k)
-            if res is not None:
-                left, middle, right = res
-                if s not in left or not right:
-                    continue
-                witness = vertex_cut.VertexComponentResult(
-                    frozenset(left), frozenset(middle),
-                    vertex_cut.volume(g, left),
-                    vertex_cut.symmetric_volume(g, left), g.m, 1, g.m)
-                return True, witness, g.m
-        return False, None, g.m
+        return _read_whole(_exact_vertex, g, s, k, table, orient)
     res = vertex_cut.detect_vertex_out_component(g, s, kd, delta,
                                                  5.0 / 6.0, rng)
     if res and len(res.members | res.boundary) < g.n:
@@ -146,10 +194,17 @@ def local_decision_vertex(g, s, k, gamma, cfg, rng):
     return False, None, res.queries_used
 
 
-def _singleton_witness(g, v):
+def _singleton_edge(g, v):
     return edge_cut.ComponentResult(
         frozenset([v]), tuple(edge_cut.out_edge_ids(g, {v})),
         edge_cut.internal_edge_count(g, {v}), 2, 1, 0)
+
+
+def _singleton_vertex(g, v):
+    return vertex_cut.VertexComponentResult(
+        frozenset([v]), frozenset(vertex_cut.boundary_of(g, {v})),
+        vertex_cut.volume(g, {v}), vertex_cut.symmetric_volume(g, {v}),
+        2, 1, 0)
 
 
 def _validated_edge_witness(g, members, k):
@@ -162,34 +217,46 @@ def _validated_vertex_witness(g, members, boundary, k):
             and vertex_cut.verify_vertex_out(g, members, k - 1))
 
 
-def _run_tester(g, cfg, rng, decide, validate):
+def _run_tester(g, cfg, rng, decide, validate, singleton):
     eps, density = _effective(cfg)
     queries = 0
     samples = 0
     # when k is small relative to eps*density, far graphs force every
-    # vertex into a degree-deficient singleton; two probes decide
+    # vertex into a degree-deficient singleton; two probes decide, unless
+    # the singleton is no proper vertex side (n <= k), which the sampled
+    # rounds below then decide
     if cfg.k <= eps * density / 2.0 and g.n > 1:
         from .graph import CountedView
         view = CountedView(g)
         out_ok = view.query_out_edge(1, cfg.k) is not None
         in_ok = view.query_in_edge(1, cfg.k) is not None
         queries += view.query_count
-        if not (out_ok and in_ok):
-            return TesterVerdict(False, _singleton_witness(g, 1),
-                                 "out" if not out_ok else "in",
-                                 queries, samples)
-        return TesterVerdict(True, queries_used=queries)
+        if out_ok and in_ok:
+            return TesterVerdict(True, queries_used=queries)
+        orient, gg = ("out", g) if not out_ok else ("in", reverse_graph(g))
+        witness = singleton(gg, 1)
+        if validate(gg, witness):
+            return TesterVerdict(False, witness, orient, queries, samples)
     grev = reverse_graph(g)
+    table = {}
     for gamma, count in doubling_schedule(cfg.k, eps, density):
         for _ in range(count):
             s = rng.randint(1, g.n)
             samples += 1
             for orient, gg in (("out", g), ("in", grev)):
-                yes, witness, q = decide(gg, s, cfg.k, gamma, cfg, rng)
+                yes, witness, q = decide(gg, s, cfg.k, gamma, cfg, rng,
+                                         table, orient)
                 queries += q
                 if yes and validate(gg, witness):
                     return TesterVerdict(False, witness, orient,
                                          queries, samples)
+            # budgets only grow with gamma, so every later decision is
+            # exact and read from the table: a full table with no Yes
+            # leaves nothing that can reject
+            if len(table) == 2 * g.n and not any(
+                    yes for yes, _ in table.values()):
+                return TesterVerdict(True, queries_used=queries,
+                                     samples_used=samples)
     return TesterVerdict(True, queries_used=queries, samples_used=samples)
 
 
@@ -198,7 +265,8 @@ def test_k_edge_connectivity(g, cfg, rng):
     graphs epsilon-far from k-edge-connected with probability >= 2/3."""
     return _run_tester(
         g, cfg, rng, local_decision_edge,
-        lambda gg, w: _validated_edge_witness(gg, w.members, cfg.k))
+        lambda gg, w: _validated_edge_witness(gg, w.members, cfg.k),
+        _singleton_edge)
 
 
 def test_k_vertex_connectivity(g, cfg, rng):
@@ -206,4 +274,5 @@ def test_k_vertex_connectivity(g, cfg, rng):
     return _run_tester(
         g, cfg, rng, local_decision_vertex,
         lambda gg, w: _validated_vertex_witness(gg, w.members, w.boundary,
-                                                cfg.k))
+                                                cfg.k),
+        _singleton_vertex)
