@@ -129,15 +129,14 @@ def _exact_vertex(g, s, k):
     return False, None
 
 
-def _read_whole(exact, g, s, k, table, orient):
+def _read_whole(exact, g, s, k, reads):
     """Exact decision of s on g with its query charge.
 
-    Without a table every read costs g.m.  With one, the first read of
-    the call costs g.m, and each (orient, s) is decided at most once.
+    `reads` is the call's (table, orientation of g); a call without one
+    gets a fresh table.  The first read into a table costs g.m, and each
+    (orientation, s) in it is decided at most once.
     """
-    if table is None:
-        yes, witness = exact(g, s, k)
-        return yes, witness, g.m
+    table, orient = reads if reads is not None else ({}, None)
     charge = 0 if table else g.m
     key = (orient, s)
     if key not in table:
@@ -146,7 +145,7 @@ def _read_whole(exact, g, s, k, table, orient):
     return yes, witness, charge
 
 
-def local_decision_edge(g, s, k, gamma, cfg, rng, table=None, orient="out"):
+def local_decision_edge(g, s, k, gamma, cfg, rng, reads=None):
     """Is s in a proper (k-1)-edge-out component of about gamma vertices?
 
     Returns (yes, witness, queries).  Small graphs are read whole and
@@ -154,11 +153,11 @@ def local_decision_edge(g, s, k, gamma, cfg, rng, table=None, orient="out"):
     at success level 5/6.  A Yes answer always comes with a component
     that has at most k-1 leaving edges and is a proper vertex subset.
 
-    A whole-graph read is charged g.m.  `table` is the tester call's
-    record of exact decisions, keyed by (orientation, vertex), and
-    `orient` names the orientation g is in: with a table, only the
-    call's first read is charged and an entry already decided is
-    returned as recorded.
+    A whole-graph read is charged g.m.  `reads` is the tester call's
+    (table, orientation) pair: the table records exact decisions keyed
+    by (orientation, vertex), and the orientation names the one g is in.
+    With it, only the call's first read is charged and an entry already
+    decided is returned as recorded.
     """
     kd = k - 1
     if cfg.model == "bounded":
@@ -166,18 +165,17 @@ def local_decision_edge(g, s, k, gamma, cfg, rng, table=None, orient="out"):
     else:
         delta = max(1, gamma * gamma)
     if g.m <= 2 * k * (delta + k):
-        return _read_whole(_exact_edge, g, s, k, table, orient)
+        return _read_whole(_exact_edge, g, s, k, reads)
     res = edge_cut.detect_component_param(g, s, kd, delta, 5.0 / 6.0, rng)
     if res and len(res.members) < g.n:
         return True, res, res.queries_used
     return False, None, res.queries_used
 
 
-def local_decision_vertex(g, s, k, gamma, cfg, rng, table=None,
-                          orient="out"):
+def local_decision_vertex(g, s, k, gamma, cfg, rng, reads=None):
     """Vertex analogue; budgets track volume instead of edge size.
 
-    Whole-graph reads are charged and recorded in `table` as in
+    Whole-graph reads are charged and recorded through `reads` as in
     `local_decision_edge`.
     """
     kd = k - 1
@@ -186,7 +184,7 @@ def local_decision_vertex(g, s, k, gamma, cfg, rng, table=None,
     else:
         delta = max(1, 2 * gamma * gamma * k)
     if g.m <= 2 * k * (delta + k):
-        return _read_whole(_exact_vertex, g, s, k, table, orient)
+        return _read_whole(_exact_vertex, g, s, k, reads)
     res = vertex_cut.detect_vertex_out_component(g, s, kd, delta,
                                                  5.0 / 6.0, rng)
     if res and len(res.members | res.boundary) < g.n:
@@ -245,7 +243,7 @@ def _run_tester(g, cfg, rng, decide, validate, singleton):
             samples += 1
             for orient, gg in (("out", g), ("in", grev)):
                 yes, witness, q = decide(gg, s, cfg.k, gamma, cfg, rng,
-                                         table, orient)
+                                         (table, orient))
                 queries += q
                 if yes and validate(gg, witness):
                     return TesterVerdict(False, witness, orient,

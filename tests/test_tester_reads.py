@@ -2,16 +2,16 @@
 per call, each (orientation, vertex) is decided exactly at most once, and
 a full table of exact decisions with no Yes accepts at once."""
 
-import itertools
 import random
 from unittest import mock
 
-import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from localcuts import edge_cut, graph, testers, vertex_cut
 from localcuts.edge_cut import out_edge_ids, verify_k_edge_out
 from localcuts.graph import Graph, reverse_graph
+from localcuts.oracles import (oracle_min_directed_cut,
+                               oracle_vertex_connectivity)
 from localcuts.testers import doubling_schedule
 from localcuts.vertex_cut import boundary_of, verify_vertex_out
 
@@ -33,7 +33,7 @@ def test_clique_is_read_once_per_call():
             assert v.samples_used < scheduled
 
 
-def test_accepts_only_once_every_decision_is_no():
+def test_no_early_accept_while_a_decision_is_yes():
     # K5 without the arc 1 -> 2: only ("out", 1) and ("in", 2) are Yes,
     # and {3, 4, 5} separates them, so the graph is not 4-connected
     g = Graph(5, [(a, b) for a in range(1, 6) for b in range(1, 6)
@@ -55,8 +55,9 @@ def test_local_decisions_without_table_charge_every_read():
             assert decide(g, 1, 3, 1, cfg, random.Random(0)) == \
                 (False, None, g.m)
         table = {}
-        charges = [decide(g, 1, 3, 1, cfg, random.Random(0), table,
-                          orient)[2] for orient in ("out", "in", "out")]
+        charges = [decide(g, 1, 3, 1, cfg, random.Random(0),
+                          (table, orient))[2]
+                   for orient in ("out", "in", "out")]
         assert charges == [g.m, 0, 0]
         assert table == {("out", 1): (False, None), ("in", 1): (False, None)}
 
@@ -88,21 +89,6 @@ def test_vertex_singleton_witness_is_a_proper_side():
     assert v.accepted
 
 
-def _simple(g):
-    d = nx.DiGraph()
-    d.add_nodes_from(g.vertices())
-    d.add_edges_from((e.tail, e.head) for e in g.edges if e.tail != e.head)
-    return d
-
-
-def _vertex_connectivity(d):
-    # min over non-adjacent ordered pairs; the global directed form of
-    # nx.node_connectivity can overstate it (1 on the single edge 1 -> 2)
-    local = [nx.node_connectivity(d, s, t)
-             for s, t in itertools.permutations(d, 2) if not d.has_edge(s, t)]
-    return min(local) if local else len(d) - 1
-
-
 @st.composite
 def multigraph_cases(draw):
     n = draw(st.integers(2, 8))
@@ -123,11 +109,10 @@ def multigraph_cases(draw):
 @given(multigraph_cases())
 def test_testers_on_random_multigraphs(case):
     g, cfg, seed = case
-    d = _simple(g)
     cells = ((testers.test_k_edge_connectivity, edge_cut,
-              "detect_component_param", nx.edge_connectivity(d)),
+              "detect_component_param", oracle_min_directed_cut(g)),
              (testers.test_k_vertex_connectivity, vertex_cut,
-              "detect_vertex_out_component", _vertex_connectivity(d)))
+              "detect_vertex_out_component", oracle_vertex_connectivity(g)))
     for run, module, detector, connectivity in cells:
         with mock.patch.object(module, detector,
                                wraps=getattr(module, detector)) as detect, \
