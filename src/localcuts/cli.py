@@ -24,6 +24,13 @@ def _read_text(path):
         return fh.read()
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _read_graph(path):
     return load_edge_list(_read_text(path))
 
@@ -225,7 +232,7 @@ def build_parser():
                    default="unbounded")
     p.add_argument("--degree", type=float, default=None)
     p.add_argument("--undirected", action="store_true")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_test_connectivity)
 

@@ -55,13 +55,37 @@ class ConnectivityVerdict:
         return self.decision == "cut_found"
 
 
+class PairCuts:
+    """Capped s-t vertex cuts asked for in one connectivity computation.
+
+    Holds the vertex-split network of the graph last asked about, built
+    when first needed, and a memo of its answers keyed by (s, t, limit),
+    so a pair already answered in the call is never flowed again.
+    """
+
+    __slots__ = ("g", "net", "memo")
+
+    def __init__(self):
+        self.g = None
+
+    def cut(self, g, s, t, k):
+        if g is not self.g:
+            self.g, self.net, self.memo = g, flow.vertex_split_network(g), {}
+        key = (s, t, k)
+        if key in self.memo:
+            return self.memo[key]
+        res = flow.st_vertex_cut_at_most(g, s, t, k, self.net)
+        if res is not None:
+            left, middle, right = res
+            res = VertexCut(frozenset(left), frozenset(middle),
+                            frozenset(right))
+        self.memo[key] = res
+        return res
+
+
 def pair_vertex_cut_at_most(g, s, t, k):
     """Vertex cut separating s from t with fewer than k middle vertices."""
-    res = flow.st_vertex_cut_at_most(g, s, t, k)
-    if res is None:
-        return None
-    left, middle, right = res
-    return VertexCut(frozenset(left), frozenset(middle), frozenset(right))
+    return PairCuts().cut(g, s, t, k)
 
 
 def _degenerate_cut(g):
@@ -88,20 +112,21 @@ def max_feasible_delta(k, m):
     return delta
 
 
-def sample_pair_step(g, k, delta_star, c, rng):
+def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
     """Flow probes between endpoints of sampled edge pairs.
 
     Catches cuts below size k whose sides both have symmetric volume at
     least delta_star: sampling ceil((4m/delta_star) * c * ln n) edge
     pairs hits both sides with probability at least 1 - 1/n^c, and all
     four endpoint combinations get a capped flow run.  Results are
-    memoized per ordered pair (the flow is deterministic).
+    memoized in `pairs` (the flow is deterministic), the PairCuts of the
+    enclosing vertex_connectivity_* call, or a fresh one when omitted.
     """
     n, m = g.n, g.m
     if m == 0 or n < 2:
         return None
     t_pairs = math.ceil((4.0 * m / delta_star) * c * math.log(n))
-    tried = {}
+    pairs = pairs or PairCuts()
     for _ in range(t_pairs):
         e1 = g.edges[rng.randrange(m)]
         e2 = g.edges[rng.randrange(m)]
@@ -109,10 +134,7 @@ def sample_pair_step(g, k, delta_star, c, rng):
             for b in (e2.tail, e2.head):
                 if a == b:
                     continue
-                if (a, b) in tried:
-                    continue
-                cut = pair_vertex_cut_at_most(g, a, b, k)
-                tried[(a, b)] = cut
+                cut = pairs.cut(g, a, b, k)
                 if cut is not None:
                     return cut
     return None
@@ -171,13 +193,14 @@ def local_sweep_step(g, k, delta_star, c, rng):
     return None
 
 
-def is_connectivity_at_least(g, k, rng, c=2.0):
+def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     """Decide whether the directed vertex connectivity is at least k.
 
     Returns a cut of size below k when one is found (always correct), or
     "probably_at_least_k" otherwise (correct with high probability).
     Requires k <= sqrt(m)/2 for the sampling machinery; above that, and
     on graphs too small for any useful budget, an exact fallback runs.
+    `pairs` carries one PairCuts across the probes of a search.
     """
     n, m = g.n, g.m
     stats = {"mode": None}
@@ -195,13 +218,13 @@ def is_connectivity_at_least(g, k, rng, c=2.0):
     delta_star = max_feasible_delta(k, m)
     if 2 * k > math.sqrt(m) or delta_star < 1:
         stats["mode"] = "exact"
-        kappa, cut = fallback_exact(g)
+        kappa, cut = fallback_exact(g, pairs)
         if kappa < k:
             return ConnectivityVerdict("cut_found", k, cut, stats)
         return ConnectivityVerdict("probably_at_least_k", k, None, stats)
     stats["mode"] = "sampled"
     stats["delta_star"] = delta_star
-    cut = sample_pair_step(g, k, delta_star, c, rng)
+    cut = sample_pair_step(g, k, delta_star, c, rng, pairs)
     if cut is None:
         cut = local_sweep_step(g, k, delta_star, c, rng)
     if cut is not None:
@@ -218,11 +241,12 @@ def _tiny_verdict(g, k, stats):
     return ConnectivityVerdict("cut_found", k, None, stats)
 
 
-def fallback_exact(g):
+def fallback_exact(g, pairs=None):
     """Exact directed vertex connectivity by all-pairs capped flows.
 
     Minimizes s-t connectivity over ordered non-adjacent pairs; returns
-    n-1 with no witness when every ordered pair is adjacent.
+    n-1 with no witness when every ordered pair is adjacent.  Flows go
+    through `pairs`, the PairCuts of the search, or a fresh one.
     """
     n = g.n
     if n > 64:
@@ -230,13 +254,14 @@ def fallback_exact(g):
     if n <= 1:
         return 0, None
     adjacent = {(e.tail, e.head) for e in g.edges}
+    pairs = pairs or PairCuts()
     best = n - 1
     best_cut = None
     for s in g.vertices():
         for t in g.vertices():
             if s == t or (s, t) in adjacent:
                 continue
-            cut = pair_vertex_cut_at_most(g, s, t, best)
+            cut = pairs.cut(g, s, t, best)
             if cut is not None and cut.size < best:
                 best = cut.size
                 best_cut = cut
@@ -245,11 +270,11 @@ def fallback_exact(g):
     return best, best_cut
 
 
-def _amplified_probe(g, k, rng, c, repeats):
+def _amplified_probe(g, k, rng, c, repeats, pairs):
     """Repeat the one-sided decision; any found cut wins immediately."""
     verdict = None
     for _ in range(repeats):
-        verdict = is_connectivity_at_least(g, k, rng, c=c)
+        verdict = is_connectivity_at_least(g, k, rng, c, pairs)
         if verdict.found:
             return verdict
         if verdict.stats.get("mode") in ("exact", "degenerate", "tiny", "scc"):
@@ -272,9 +297,10 @@ def vertex_connectivity_directed(g, rng, c=2.0, repeats=3):
         return 0, _degenerate_cut(g)
     lo, hi = 1, n - 1
     best_cut = None
+    pairs = PairCuts()
     k = 2
     while lo < hi:
-        verdict = _amplified_probe(g, k, rng, c, repeats)
+        verdict = _amplified_probe(g, k, rng, c, repeats, pairs)
         if verdict.found:
             hi = verdict.cut.size
             best_cut = verdict.cut
@@ -286,7 +312,7 @@ def vertex_connectivity_directed(g, rng, c=2.0, repeats=3):
         k = min(2 * k, n - 1)
     while lo < hi:
         k = (lo + hi) // 2 + 1
-        verdict = _amplified_probe(g, k, rng, c, repeats)
+        verdict = _amplified_probe(g, k, rng, c, repeats, pairs)
         if verdict.found:
             hi = verdict.cut.size
             best_cut = verdict.cut
@@ -368,12 +394,13 @@ def vertex_connectivity_undirected(und, rng, c=2.0, repeats=3):
         return 0, VertexCut(frozenset(left), frozenset(), frozenset(rest))
     lo, hi = 1, n - 1
     best_cut = None
+    pairs = PairCuts()
     k = 2
     while lo < hi:
         kcap = min(k, n - 1)
         cert = scan_first_certificate(und, kcap)
         certd = cert.to_directed()
-        verdict = _amplified_probe(certd, kcap, rng, c, repeats)
+        verdict = _amplified_probe(certd, kcap, rng, c, repeats, pairs)
         if verdict.found:
             hi = verdict.cut.size
             best_cut = verdict.cut
@@ -381,7 +408,7 @@ def vertex_connectivity_undirected(und, rng, c=2.0, repeats=3):
             # bisect on the same certificate (valid for probes <= kcap)
             while lo < hi:
                 kk = (lo + hi) // 2 + 1
-                verdict = _amplified_probe(certd, kk, rng, c, repeats)
+                verdict = _amplified_probe(certd, kk, rng, c, repeats, pairs)
                 if verdict.found:
                     hi = verdict.cut.size
                     best_cut = verdict.cut

@@ -1,129 +1,128 @@
-"""Small unit-capacity max-flow routines shared by the connectivity code.
+"""Capped unit-capacity s-t flows for connectivity, mkecs and the testers.
 
-Everything here is plain Edmonds-Karp on dict-of-dict residual networks;
-the graphs involved are desk scale and augmentation counts are capped by
-the connectivity parameter under test.
+A network is a flat residual structure built once per graph: arc a runs
+to `head[a]` with base capacity `cap[a]`, its partner `a ^ 1` is the
+reverse residual arc (base capacity 0), and `arcs[u]` lists the arcs
+leaving node u.  Every s-t query on the graph reuses it: the query
+copies the base capacities, runs at most `limit` shortest augmenting
+paths (Edmonds-Karp) and reads the side residual-reachable from s.
+
+Below the limit the flow is a maximum flow, and the residual-reachable
+source side is the same for every maximum flow, so an answer depends
+only on (s, t, limit), never on earlier queries or on the paths taken.
 """
 
-from collections import deque
+# Capacity of arcs that must never be cut.  One network serves queries
+# at every limit, and limits may exceed n, so no finite value fixed when
+# the network is built will do: parallel edges s -> t carry up to
+# `limit` units at once.
+UNBOUNDED = float("inf")
 
 
-def _bfs_augment(cap, source, sink):
-    """One shortest augmenting path; returns bottleneck (0 when none)."""
-    parent = {source: None}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        if u == sink:
-            break
-        for v, c in cap[u].items():
-            if c > 0 and v not in parent:
-                parent[v] = u
-                q.append(v)
-    if sink not in parent:
-        return 0
-    # unit capacities throughout, bottleneck is 1
-    v = sink
-    while parent[v] is not None:
-        u = parent[v]
-        cap[u][v] -= 1
-        cap[v].setdefault(u, 0)
-        cap[v][u] += 1
-        v = u
-    return 1
+class Network:
+    """Flat residual network over nodes 0..nodes-1."""
+
+    __slots__ = ("head", "cap", "arcs")
+
+    def __init__(self, nodes):
+        self.head = []
+        self.cap = []
+        self.arcs = [[] for _ in range(nodes)]
+
+    def add(self, u, v, c):
+        a = len(self.head)
+        self.head += (v, u)
+        self.cap += (c, 0)
+        self.arcs[u].append(a)
+        self.arcs[v].append(a + 1)
+
+    def source_side(self, source, sink, limit):
+        """Nodes residual-reachable from source after a maximum flow, or
+        None when the flow reaches `limit`."""
+        if limit <= 0:
+            return None
+        head, arcs = self.head, self.arcs
+        cap = self.cap[:]
+        flow = 0
+        while True:
+            via = {source: -1}      # node -> arc it was reached by
+            queue = [source]
+            for u in queue:
+                for a in arcs[u]:
+                    if cap[a]:
+                        v = head[a]
+                        if v not in via:
+                            via[v] = a
+                            queue.append(v)
+                if sink in via:
+                    break
+            else:
+                return via
+            flow += 1
+            if flow >= limit:
+                return None
+            v = sink
+            while v != source:
+                a = via[v]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                v = head[a ^ 1]
 
 
-def _residual_reachable(cap, source):
-    seen = {source}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v, c in cap[u].items():
-            if c > 0 and v not in seen:
-                seen.add(v)
-                q.append(v)
-    return seen
+def vertex_split_network(g):
+    """Vertex-split network of g for every s-t vertex-cut query on it.
 
-
-def max_flow_capped(cap, source, sink, limit):
-    """Augment up to `limit` units; returns the flow value reached."""
-    flow = 0
-    while flow < limit:
-        if _bfs_augment(cap, source, sink) == 0:
-            break
-        flow += 1
-    return flow
-
-
-def vertex_split_network(g, s, t, k):
-    """Residual network for s-t vertex connectivity, transit capacity 1.
-
-    Node 2v is the in-side and 2v+1 the out-side of vertex v; s and t get
-    transit capacity k+1 so only interior vertices can be cut.  Image
-    edges carry capacity k+1, which never saturates below flow k.
+    Node 2v is the in-side and 2v+1 the out-side of vertex v, joined by
+    a transit arc of capacity 1; each edge u -> v becomes an unbounded
+    arc 2u+1 -> 2v.  A query flows from 2s+1 to 2t, so no augmenting path
+    crosses the transit arc of s or t and only interior vertices are cut.
     """
-    cap = {}
-
-    def node(v, side):
-        return 2 * v + side
-
-    def ensure(u):
-        if u not in cap:
-            cap[u] = {}
-
-    def add(u, v, c):
-        ensure(u)
-        ensure(v)
-        cap[u][v] = cap[u].get(v, 0) + c
-        cap[v].setdefault(u, 0)
-
-    big = k + 1
+    net = Network(2 * g.n + 2)
     for v in g.vertices():
-        add(node(v, 0), node(v, 1), big if v in (s, t) else 1)
+        net.add(2 * v, 2 * v + 1, 1)
     for e in g.edges:
-        add(node(e.tail, 1), node(e.head, 0), big)
-    return cap, node(s, 1), node(t, 0)
+        net.add(2 * e.tail + 1, 2 * e.head, UNBOUNDED)
+    return net
 
 
-def st_vertex_cut_at_most(g, s, t, k):
+def st_vertex_cut_at_most(g, s, t, k, net=None):
     """Vertex cut (L, M, R) with s in L, t in R, |M| < k, or None.
 
-    Runs at most k unit augmentations; when the flow value f stays below
-    k the residual reachability from s yields a cut with |M| = f.
+    Runs at most k unit augmentations on `net`, g's vertex-split network
+    (built here when not given); when the flow value f stays below k the
+    residual reachability from s yields a cut with |M| = f.
     """
     if s == t:
         raise ValueError("endpoints must differ")
-    cap, source, sink = vertex_split_network(g, s, t, k)
-    if max_flow_capped(cap, source, sink, k) >= k:
+    if net is None:
+        net = vertex_split_network(g)
+    reach = net.source_side(2 * s + 1, 2 * t, k)
+    if reach is None:
         return None
-    reach = _residual_reachable(cap, source)
-    left = set()
-    middle = set()
-    for v in g.vertices():
-        if 2 * v + 1 in reach:
-            left.add(v)
-        elif 2 * v in reach:
-            middle.add(v)
+    left = {x >> 1 for x in reach if x & 1}
+    middle = {x >> 1 for x in reach if not x & 1} - left
     right = set(g.vertices()) - left - middle
     return left, middle, right
 
 
 def edge_flow_network(n, edges):
-    """Unit-capacity network over vertices 1..n; parallel edges add up."""
-    cap = {v: {} for v in range(1, n + 1)}
+    """Unit-capacity network over vertices 1..n, one arc per edge."""
+    net = Network(n + 1)
     for e in edges:
-        cap[e.tail][e.head] = cap[e.tail].get(e.head, 0) + 1
-        cap[e.head].setdefault(e.tail, 0)
-    return cap
+        net.add(e.tail, e.head, 1)
+    return net
 
 
-def st_edge_cut_below(n, edges, s, t, k):
-    """Edge cut (S, cut edge ids) with s in S, t outside, < k edges, or None."""
+def st_edge_cut_below(n, edges, s, t, k, net=None):
+    """Edge cut (S, cut edge ids) with s in S, t outside, < k edges, or
+    None; `net` is the network of (n, edges), built here when not given."""
     if s == t:
         raise ValueError("endpoints must differ")
-    cap = edge_flow_network(n, edges)
-    if max_flow_capped(cap, s, t, k) >= k:
+    if net is None:
+        net = edge_flow_network(n, edges)
+    side = net.source_side(s, t, k)
+    if side is None:
         return None
-    side = _residual_reachable(cap, s)
+    side = set(side)
     cut = [e.id for e in edges if e.tail in side and e.head not in side]
     return side, cut

@@ -39,18 +39,19 @@ class Decomposition:
 def _cut_below(vertices, edges, k):
     """Directed cut (S, rest) with fewer than k edges, on a strongly
     connected piece, or None.  Max-flow from and to a fixed root decides
-    the global minimum cut exactly."""
+    the global minimum cut exactly; one network serves every flow."""
     if len(vertices) <= 1:
         return None
     ordered = sorted(vertices)
     root = ordered[0]
     n_max = max(vertices)
+    net = flow.edge_flow_network(n_max, edges)
     for v in ordered[1:]:
-        res = flow.st_edge_cut_below(n_max, edges, root, v, k)
+        res = flow.st_edge_cut_below(n_max, edges, root, v, k, net)
         if res is not None:
             side, cut = res
             return EdgeCut(frozenset(side & set(vertices)), tuple(cut))
-        res = flow.st_edge_cut_below(n_max, edges, v, root, k)
+        res = flow.st_edge_cut_below(n_max, edges, v, root, k, net)
         if res is not None:
             side, cut = res
             return EdgeCut(frozenset(side & set(vertices)), tuple(cut))

@@ -95,12 +95,14 @@ def _exact_edge(g, s, k):
     """(yes, witness): is s in a proper (k-1)-edge-out component of g?
 
     True iff some other vertex is separated from s by fewer than k
-    edges; decided by capped flows from s.  Draws no randomness.
+    edges; decided by capped flows from s on one network.  Draws no
+    randomness.
     """
+    net = flow.edge_flow_network(g.n, g.edges)
     for t in g.vertices():
         if t == s:
             continue
-        res = flow.st_edge_cut_below(g.n, g.edges, s, t, k)
+        res = flow.st_edge_cut_below(g.n, g.edges, s, t, k, net)
         if res is not None:
             side, cut = res
             return True, edge_cut.ComponentResult(
@@ -111,13 +113,15 @@ def _exact_edge(g, s, k):
 
 def _exact_vertex(g, s, k):
     """(yes, witness): does a set of fewer than k vertices separate some
-    t not adjacent from s, with s on the near side?  Draws no randomness.
+    t not adjacent from s, with s on the near side?  Decided by capped
+    flows on one network.  Draws no randomness.
     """
     adjacent = {(e.tail, e.head) for e in g.edges}
+    net = flow.vertex_split_network(g)
     for t in g.vertices():
         if t == s or (s, t) in adjacent:
             continue
-        res = flow.st_vertex_cut_at_most(g, s, t, k)
+        res = flow.st_vertex_cut_at_most(g, s, t, k, net)
         if res is not None:
             left, middle, right = res
             if s not in left or not right:
