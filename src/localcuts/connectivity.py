@@ -4,9 +4,11 @@ For a threshold k, every vertex cut of size below k either has a side of
 small symmetric volume (caught by running the local vertex-out detector
 from sampled edge endpoints at geometrically shrinking volume budgets)
 or both sides are voluminous (caught by max-flow between sampled edge
-endpoint pairs).  The exact connectivity value is found by a doubling
-plus bisection search over k; undirected inputs are first sparsified
-with a scan-first-forest certificate.
+endpoint pairs).  Thresholds too large for sampling are decided exactly
+by Even's scheme of capped flows.  One doubling plus bisection search
+over k finds the exact connectivity value of directed and undirected
+inputs alike; undirected ones are first sparsified with a
+scan-first-forest certificate.
 """
 
 import dataclasses
@@ -207,7 +209,9 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     if k < 1:
         raise ValueError("k must be positive")
     if n <= 1:
-        return _tiny_verdict(g, k, stats)
+        # single vertex (or empty) graph: connectivity 0 by convention
+        stats["mode"] = "tiny"
+        return ConnectivityVerdict("cut_found", k, None, stats)
     if not is_strongly_connected(g):
         cut = _degenerate_cut(g)
         stats["mode"] = "degenerate"
@@ -233,41 +237,73 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     return ConnectivityVerdict("probably_at_least_k", k, None, stats)
 
 
-def _tiny_verdict(g, k, stats):
-    # single vertex (or empty) graph: connectivity 0 by convention
-    stats["mode"] = "tiny"
-    if k <= 0:
-        return ConnectivityVerdict("probably_at_least_k", k, None, stats)
-    return ConnectivityVerdict("cut_found", k, None, stats)
-
-
 def fallback_exact(g, pairs=None):
-    """Exact directed vertex connectivity by all-pairs capped flows.
+    """Exact directed vertex connectivity by Even's scheme of capped flows.
 
-    Minimizes s-t connectivity over ordered non-adjacent pairs; returns
-    n-1 with no witness when every ordered pair is adjacent.  Flows go
-    through `pairs`, the PairCuts of the search, or a fresh one.
+    A minimum separator misses one of any kappa + 1 vertices, and that
+    vertex is separated from some other vertex in one direction.  So the
+    i-th vertex (i from 0) is flowed to and from every later vertex,
+    skipping adjacent ordered pairs, while i is below the best value
+    found so far: until that value is kappa, the first kappa + 1
+    vertices all get their turn.  Returns n-1 with no witness when
+    every ordered pair is adjacent.  Flows go through `pairs`, the PairCuts of
+    the search, or a fresh one.
     """
     n = g.n
-    if n > 64:
-        raise ValueError("exact fallback is guarded to n <= 64")
     if n <= 1:
         return 0, None
     adjacent = {(e.tail, e.head) for e in g.edges}
     pairs = pairs or PairCuts()
+    order = list(g.vertices())
     best = n - 1
     best_cut = None
-    for s in g.vertices():
-        for t in g.vertices():
-            if s == t or (s, t) in adjacent:
-                continue
-            cut = pairs.cut(g, s, t, best)
-            if cut is not None and cut.size < best:
-                best = cut.size
-                best_cut = cut
-                if best == 0:
-                    return 0, best_cut
+    for i, v in enumerate(order):
+        if i >= best:
+            break
+        for w in order[i + 1:]:
+            for s, t in ((v, w), (w, v)):
+                if (s, t) in adjacent:
+                    continue
+                cut = pairs.cut(g, s, t, best)
+                if cut is not None and cut.size < best:
+                    best = cut.size
+                    best_cut = cut
+                    if best == 0:
+                        return 0, best_cut
     return best, best_cut
+
+
+def _kappa_search(n, graph_at, rng, c, repeats):
+    """Doubling search for an upper bracket, then bisection.
+
+    `graph_at(k)` is the graph that decides threshold k; the bisection
+    probes the graph of the doubling step that found a cut.  Returns
+    (kappa, cut) with cut None iff no probe found one, i.e. kappa = n - 1.
+    """
+    lo, hi = 1, n - 1
+    best_cut = None
+    pairs = PairCuts()
+    k = 2
+    while lo < hi:
+        g = graph_at(k)
+        verdict = _amplified_probe(g, k, rng, c, repeats, pairs)
+        if verdict.found:
+            best_cut = verdict.cut
+            hi = best_cut.size
+            lo = min(lo, hi)
+            break
+        lo = k
+        k = min(2 * k, n - 1)
+    while lo < hi:
+        k = (lo + hi) // 2 + 1
+        verdict = _amplified_probe(g, k, rng, c, repeats, pairs)
+        if verdict.found:
+            best_cut = verdict.cut
+            hi = best_cut.size
+            lo = min(lo, hi)
+        else:
+            lo = k
+    return lo, best_cut
 
 
 def _amplified_probe(g, k, rng, c, repeats, pairs):
@@ -277,7 +313,7 @@ def _amplified_probe(g, k, rng, c, repeats, pairs):
         verdict = is_connectivity_at_least(g, k, rng, c, pairs)
         if verdict.found:
             return verdict
-        if verdict.stats.get("mode") in ("exact", "degenerate", "tiny", "scc"):
+        if verdict.stats["mode"] != "sampled":
             break  # deterministic outcome, repeating cannot change it
     return verdict
 
@@ -295,33 +331,7 @@ def vertex_connectivity_directed(g, rng, c=2.0, repeats=3):
         return 0, None
     if not is_strongly_connected(g):
         return 0, _degenerate_cut(g)
-    lo, hi = 1, n - 1
-    best_cut = None
-    pairs = PairCuts()
-    k = 2
-    while lo < hi:
-        verdict = _amplified_probe(g, k, rng, c, repeats, pairs)
-        if verdict.found:
-            hi = verdict.cut.size
-            best_cut = verdict.cut
-            lo = min(lo, hi)
-            break
-        lo = k
-        if k == n - 1:
-            break
-        k = min(2 * k, n - 1)
-    while lo < hi:
-        k = (lo + hi) // 2 + 1
-        verdict = _amplified_probe(g, k, rng, c, repeats, pairs)
-        if verdict.found:
-            hi = verdict.cut.size
-            best_cut = verdict.cut
-            lo = min(lo, hi)
-        else:
-            lo = k
-    if lo >= n - 1 and best_cut is None:
-        return n - 1, None
-    return lo, best_cut
+    return _kappa_search(n, lambda k: g, rng, c, repeats)
 
 
 def scan_first_certificate(und, k):
@@ -392,37 +402,13 @@ def vertex_connectivity_undirected(und, rng, c=2.0, repeats=3):
         left = comps[0]
         rest = set(range(1, n + 1)) - left
         return 0, VertexCut(frozenset(left), frozenset(), frozenset(rest))
-    lo, hi = 1, n - 1
-    best_cut = None
-    pairs = PairCuts()
-    k = 2
-    while lo < hi:
-        kcap = min(k, n - 1)
-        cert = scan_first_certificate(und, kcap)
-        certd = cert.to_directed()
-        verdict = _amplified_probe(certd, kcap, rng, c, repeats, pairs)
-        if verdict.found:
-            hi = verdict.cut.size
-            best_cut = verdict.cut
-            lo = min(lo, hi)
-            # bisect on the same certificate (valid for probes <= kcap)
-            while lo < hi:
-                kk = (lo + hi) // 2 + 1
-                verdict = _amplified_probe(certd, kk, rng, c, repeats, pairs)
-                if verdict.found:
-                    hi = verdict.cut.size
-                    best_cut = verdict.cut
-                    lo = min(lo, hi)
-                else:
-                    lo = kk
-            break
-        lo = kcap
-        if kcap == n - 1:
-            break
-        k = 2 * k
-    kappa = lo
-    if kappa >= n - 1 and best_cut is None:
-        return n - 1, None
+    # a certificate for k is valid for every probe up to k, so the
+    # bisection may stay on the one that found the cut
+    kappa, best_cut = _kappa_search(
+        n, lambda k: scan_first_certificate(und, k).to_directed(),
+        rng, c, repeats)
+    if best_cut is None:
+        return kappa, None
     lifted = _lift_cutset(und, best_cut.middle)
     if lifted is not None:
         return kappa, lifted

@@ -7,6 +7,7 @@ property is asserted before returning.
 """
 
 import dataclasses
+import inspect
 import random
 
 from .graph import Graph, UndirectedGraph, is_strongly_connected
@@ -24,20 +25,19 @@ FAMILIES = ("random_digraph", "planted_edge_component", "planted_separator",
 
 
 def generate(spec):
-    rng = random.Random(spec.seed)
-    if spec.family == "random_digraph":
-        return random_digraph(rng=rng, **spec.params)
-    if spec.family == "planted_edge_component":
-        return planted_edge_component(rng=rng, **spec.params)
-    if spec.family == "planted_separator":
-        return planted_separator(rng=rng, **spec.params)
-    if spec.family == "clique_union":
-        return clique_union(rng=rng, **spec.params)
-    if spec.family == "cycle_union":
-        return cycle_union(rng=rng, **spec.params)
-    if spec.family == "figure_shape":
-        return figure_shape()
-    raise ValueError("unknown family %r" % (spec.family,))
+    """Build the family's instance; ValueError on an unknown family or
+    on params that do not bind to the family's signature."""
+    if spec.family not in FAMILIES:
+        raise ValueError("unknown family %r" % (spec.family,))
+    build = globals()[spec.family]
+    fixed = {} if spec.family == "figure_shape" else \
+        {"rng": random.Random(spec.seed)}
+    try:
+        bound = inspect.signature(build).bind(**fixed, **spec.params)
+    except TypeError as exc:  # missing or unknown names, or not a mapping
+        raise ValueError("bad params for %s: %s" % (spec.family, exc)) \
+            from None
+    return build(*bound.args, **bound.kwargs)
 
 
 def random_digraph(n, m, rng, allow_parallel=True):

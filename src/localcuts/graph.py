@@ -207,10 +207,10 @@ def load_undirected_edge_list(text):
 class Overlay:
     """Mutable orientation overlay on a base graph.
 
-    Tracks a set of reversed edge ids.  Per-vertex incidence is kept in
-    insertion-ordered keyed maps, materialized lazily; a flipped edge is
-    appended at the end of the gaining endpoint's list.  The base graph
-    is never modified.
+    Tracks a set of reversed edge ids.  A vertex's incidence lists are
+    copied from the base graph when a flip first touches it; a flipped
+    edge is appended at the end of the gaining endpoint's list.  The
+    base graph is never modified.
     """
 
     __slots__ = ("base", "reversed_ids", "_out", "_in")
@@ -235,32 +235,27 @@ class Overlay:
 
     def _materialize(self, v):
         if v not in self._out:
-            self._out[v] = dict.fromkeys(self.base.out_ids(v))
-        if v not in self._in:
-            self._in[v] = dict.fromkeys(self.base.in_ids(v))
+            self._out[v] = list(self.base.out_ids(v))
+            self._in[v] = list(self.base.in_ids(v))
 
     def out_ids(self, u):
-        om = self._out.get(u)
-        if om is None:
-            return self.base.out_ids(u)
-        return list(om)
+        ids = self._out.get(u)
+        return self.base.out_ids(u) if ids is None else ids
 
     def in_ids(self, u):
-        im = self._in.get(u)
-        if im is None:
-            return self.base.in_ids(u)
-        return list(im)
+        ids = self._in.get(u)
+        return self.base.in_ids(u) if ids is None else ids
 
     def flip(self, eid):
         """Reverse one edge's current orientation."""
         cur = self.edge(eid)
         self._materialize(cur.tail)
         self._materialize(cur.head)
-        del self._out[cur.tail][eid]
-        del self._in[cur.head][eid]
+        self._out[cur.tail].remove(eid)
+        self._in[cur.head].remove(eid)
         # new orientation: head -> tail, appended at the end of each list
-        self._out[cur.head][eid] = None
-        self._in[cur.tail][eid] = None
+        self._out[cur.head].append(eid)
+        self._in[cur.tail].append(eid)
         if eid in self.reversed_ids:
             self.reversed_ids.discard(eid)
         else:

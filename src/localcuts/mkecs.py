@@ -6,7 +6,8 @@ cut removals converges to the same partition.  The baseline recursion
 peels strongly connected components and global small cuts; the local
 variants first carve off small components found by the bounded-size
 detector, touching only a fraction of the graph per removal, and fall
-back to the global routine for whatever remains.
+back to global cuts for whatever remains.  Every loop walks pieces: a
+component together with its internal edges, split off in one pass.
 """
 
 import dataclasses
@@ -63,26 +64,35 @@ def global_edge_cut_below(g, k):
     return _cut_below(set(g.vertices()), g.edges, k)
 
 
+def _pieces(vertices, edges, undirected=False):
+    """Components of the edge list on `vertices`, as in `components`,
+    each paired with its internal edges in edge-list order; self-loops
+    are dropped.  One pass over the edges serves every component."""
+    comps = components(vertices, edges, undirected)
+    where = {}
+    for i, comp in enumerate(comps):
+        for v in comp:
+            where[v] = i
+    inner = [[] for _ in comps]
+    for e in edges:
+        i = where[e.tail]
+        if e.tail != e.head and i == where[e.head]:
+            inner[i].append(e)
+    return list(zip(comps, inner))
+
+
 def _baseline(vertices, edges, k):
     """Recursive SCC / small-cut peeling; returns the class list."""
     classes = []
-    stack = [(set(vertices), list(edges))]
+    stack = [(set(vertices), edges)]
     while stack:
-        verts, eds = stack.pop()
-        inner = [e for e in eds if e.tail in verts and e.head in verts
-                 and e.tail != e.head]
-        for comp in components(verts, inner):
-            if len(comp) == 1:
-                classes.append(frozenset(comp))
-                continue
-            comp_edges = [e for e in inner
-                          if e.tail in comp and e.head in comp]
-            cut = _cut_below(comp, comp_edges, k)
+        for comp, inner in _pieces(*stack.pop()):
+            cut = _cut_below(comp, inner, k)
             if cut is None:
                 classes.append(frozenset(comp))
             else:
                 removed = set(cut.cut_edges)
-                stack.append((comp, [e for e in comp_edges
+                stack.append((comp, [e for e in inner
                                      if e.id not in removed]))
     return classes
 
@@ -103,12 +113,12 @@ def detection_edge_bound(k, delta):
 
 def _local_directed(vertices, edges, k, delta, rng, classes):
     """Local peeling of one strongly connected piece (directed scheme)."""
-    n_max = max(vertices) if vertices else 0
+    n_max = max(vertices)
     k_eff = min(k, max(1, delta))
     kd = k_eff - 1
     p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
     live = set(vertices)
-    live_edges = [e for e in edges if e.tail != e.head]
+    live_edges = edges
 
     if len(live_edges) <= detection_edge_bound(kd, delta):
         classes.extend(_baseline(live, live_edges, k))
@@ -155,23 +165,14 @@ def _local_directed(vertices, edges, k, delta, rng, classes):
             if v not in queued:
                 worklist.append(v)
                 queued.add(v)
-    if not live:
-        return
-    for comp in components(live, live_edges):
-        comp_edges = [e for e in live_edges
-                      if e.tail in comp and e.head in comp]
-        if len(comp) == 1:
-            classes.append(frozenset(comp))
-            continue
-        cut = _cut_below(comp, comp_edges, k)
+    for comp, inner in _pieces(live, live_edges):
+        cut = _cut_below(comp, inner, k)
         if cut is None:
             classes.append(frozenset(comp))
             continue
         removed = set(cut.cut_edges)
-        kept = [e for e in comp_edges if e.id not in removed]
-        for sub in components(comp, kept):
-            sub_edges = [e for e in kept
-                         if e.tail in sub and e.head in sub]
+        for sub, sub_edges in _pieces(
+                comp, [e for e in inner if e.id not in removed]):
             _local_directed(sub, sub_edges, k, delta, rng, classes)
 
 
@@ -183,20 +184,15 @@ def mkecs_directed(g, k, rng, delta=None):
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if delta is not None and delta < 0:
+        raise ValueError("delta must be non-negative")
     if g.n == 0:
         return Decomposition(k, [])
     if delta is None:
         delta = max(1, math.ceil(math.sqrt(max(1, g.m) / k)))
     classes = []
-    for comp in components(set(g.vertices()), [e for e in g.edges
-                                                if e.tail != e.head]):
-        if len(comp) == 1:
-            classes.append(frozenset(comp))
-            continue
-        comp_edges = [e for e in g.edges
-                      if e.tail in comp and e.head in comp and
-                      e.tail != e.head]
-        _local_directed(comp, comp_edges, k, delta, rng, classes)
+    for comp, inner in _pieces(set(g.vertices()), g.edges):
+        _local_directed(comp, inner, k, delta, rng, classes)
     return Decomposition(k, classes)
 
 
@@ -268,7 +264,7 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
     p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
 
     live = set(vertices)
-    live_edges = list(uedges)
+    live_edges = uedges
 
     if 2 * len(live_edges) <= detection_edge_bound(kd, delta):
         classes.extend(_baseline(live, bidirect(live_edges), k))
@@ -320,30 +316,19 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
             if v in live and v not in queued:
                 worklist.append(v)
                 queued.add(v)
-    if not live:
-        return
-    # global phase on a fresh certificate of what remains
-    cert = _forest_rounds(n_max, live_edges, k)
-    for comp in components(live, live_edges, undirected=True):
-        comp_u = [e for e in live_edges
-                  if e.tail in comp and e.head in comp]
-        if len(comp) == 1:
-            classes.append(frozenset(comp))
-            continue
-        comp_cert = [e for e in cert if e.tail in comp and e.head in comp]
-        cut = _cut_below(comp, bidirect(comp_cert), k)
+    # global phase on a fresh certificate of what remains; a piece's
+    # certificate is the whole one restricted to it, as forest rounds
+    # read only local degrees and never join two pieces
+    for comp, inner in _pieces(live, live_edges, undirected=True):
+        cut = _cut_below(comp, bidirect(_forest_rounds(n_max, inner, k)), k)
         if cut is None:
             classes.append(frozenset(comp))
             continue
         cut_uids = {eid // 2 for eid in cut.cut_edges}
-        kept = [e for e in comp_u if e.id not in cut_uids]
-        for sub in components(comp, kept, undirected=True):
-            sub_edges = [e for e in kept
-                         if e.tail in sub and e.head in sub]
-            if len(sub) == 1:
-                classes.append(frozenset(sub))
-            else:
-                _local_undirected(sub, sub_edges, k, gamma, rng, classes)
+        for sub, sub_edges in _pieces(
+                comp, [e for e in inner if e.id not in cut_uids],
+                undirected=True):
+            _local_undirected(sub, sub_edges, k, gamma, rng, classes)
 
 
 def mkecs_undirected(und, k, rng, gamma=None):
@@ -355,19 +340,16 @@ def mkecs_undirected(und, k, rng, gamma=None):
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if gamma is not None and gamma < 0:
+        raise ValueError("gamma must be non-negative")
     if und.n == 0:
         return Decomposition(k, [])
     if gamma is None:
         gamma = max(1, math.ceil(math.sqrt(und.n) / k))
     classes = []
-    simple = [e for e in und.edges if e.tail != e.head]
-    for comp in components(range(1, und.n + 1), simple, undirected=True):
-        if len(comp) == 1:
-            classes.append(frozenset(comp))
-            continue
-        comp_edges = [e for e in simple
-                      if e.tail in comp and e.head in comp]
-        _local_undirected(comp, comp_edges, k, gamma, rng, classes)
+    for comp, inner in _pieces(range(1, und.n + 1), und.edges,
+                               undirected=True):
+        _local_undirected(comp, inner, k, gamma, rng, classes)
     return Decomposition(k, classes)
 
 

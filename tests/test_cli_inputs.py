@@ -1,0 +1,36 @@
+"""Malformed input to the CLI exits 2 with a message, never 1.
+
+Exit 1 means "found" or "Reject", so a traceback that exits 1 reads as
+an answer.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+CLI = [sys.executable, "-m", "localcuts.cli"]
+
+
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("params", ['{"side_left": 0}', '[1]'])
+def test_gen_params_that_do_not_bind_exit_2(params):
+    r = run_cli("gen", "planted_separator", "--params", params)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("option", [["--delta", "-1"],
+                                    ["--undirected", "--gamma", "-1"]])
+def test_mkecs_negative_budget_exits_2(tmp_path, option):
+    # no edges: the decomposition needs no detection, so only the up-front
+    # check can reject the budget
+    path = tmp_path / "empty.txt"
+    path.write_text("3 0\n")
+    r = run_cli("mkecs", str(path), "--k", "2", *option)
+    assert r.returncode == 2
+    assert "must be non-negative" in r.stderr
