@@ -11,7 +11,7 @@ component with at most as many leaving edges as passes already run.
 import dataclasses
 import math
 
-from .graph import CountedView, Overlay
+from .graph import CountedView, GraphError, Overlay
 
 
 @dataclasses.dataclass
@@ -54,16 +54,23 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
     under the same budget.  This is the volume accounting used on split
     graphs; for a plain graph the identity partner yields symmetric
     volume.
+
+    Each scan reads the vertex's incidence list of `view.base` once and
+    charges `view.query_count` as the probes of CountedView would: a
+    full scan of d slots costs d + 1 (the probe that finds slot d + 1
+    absent included), a scan the budget stops at slot j costs j.
     """
     processed = []
     visited = set()
     tree_parent = {}
     in_scanned = set()
-    stack = [s]
-
     if budget <= 0:
-        return DfsResult(processed, visited, tree_parent, budget > 0)
-
+        return DfsResult(processed, visited, tree_parent, False)
+    base = view.base
+    if not base.has_vertex(s):
+        raise GraphError("unknown vertex %r" % (s,))
+    edge, out_ids, in_ids = base.edge, base.out_ids, base.in_ids
+    stack = [s]
     while stack:
         u = stack.pop()
         if u in visited:
@@ -73,31 +80,24 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
             q = interior_partner(u)
             if q is not None and q not in in_scanned:
                 in_scanned.add(q)
-                i = 1
-                stop = False
-                while True:
-                    e = view.query_in_edge(q, i)
-                    if e is None:
-                        break
-                    processed.append((e, u))
-                    if len(processed) == budget:
-                        stop = True
-                        break
-                    i += 1
-                if stop:
+                ids = in_ids(q)
+                room = budget - len(processed)
+                processed.extend((edge(eid), u) for eid in ids[:room])
+                view.query_count += min(len(ids) + 1, room)
+                if len(ids) >= room:
                     return DfsResult(processed, visited, tree_parent, False)
-        i = 1
-        while True:
-            e = view.query_out_edge(u, i)
-            if e is None:
-                break
+        ids = out_ids(u)
+        room = budget - len(processed)
+        view.query_count += min(len(ids) + 1, room)
+        for eid in ids[:room]:
+            e = edge(eid)
             processed.append((e, u))
-            if e.head != s and e.head not in tree_parent:
-                tree_parent[e.head] = (u, e.id)
-            stack.append(e.head)
-            if len(processed) == budget:
-                return DfsResult(processed, visited, tree_parent, False)
-            i += 1
+            h = e.head
+            if h != s and h not in tree_parent:
+                tree_parent[h] = (u, eid)
+            stack.append(h)
+        if len(ids) >= room:
+            return DfsResult(processed, visited, tree_parent, False)
     return DfsResult(processed, visited, tree_parent, True)
 
 

@@ -26,7 +26,9 @@ FAMILIES = ("random_digraph", "planted_edge_component", "planted_separator",
 
 def generate(spec):
     """Build the family's instance; ValueError on an unknown family or
-    on params that do not bind to the family's signature."""
+    on params that do not bind to the family's signature or have the
+    wrong type: counts and sizes are ints (not bools), `allow_parallel`
+    is a bool and `extra_per_side` an int or None."""
     if spec.family not in FAMILIES:
         raise ValueError("unknown family %r" % (spec.family,))
     build = globals()[spec.family]
@@ -37,6 +39,12 @@ def generate(spec):
     except TypeError as exc:  # missing or unknown names, or not a mapping
         raise ValueError("bad params for %s: %s" % (spec.family, exc)) \
             from None
+    for name, value in spec.params.items():
+        want = bool if name == "allow_parallel" else int
+        if type(value) is not want and not (name == "extra_per_side"
+                                            and value is None):
+            raise ValueError("bad params for %s: %s must be %s, got %r"
+                             % (spec.family, name, want.__name__, value))
     return build(*bound.args, **bound.kwargs)
 
 

@@ -3,9 +3,11 @@
 Vertices are 1-based integers.  The id of an edge is its position in
 `g.edges`, 0..m-1, so overlays can reverse individual edges by id
 without touching the base graph.
-All local algorithms interact with a graph through CountedView, which
-charges one query per incidence probe (including the probe that learns
-an incidence slot is absent).
+Local algorithms are charged per incidence slot they read: one query
+per slot, plus one for the probe that learns the slot after the last is
+absent.  CountedView holds the count and offers that probe one slot at
+a time; the detector's DFS reads a whole incidence list at once and
+charges the view the same amount.
 """
 
 import dataclasses

@@ -8,6 +8,14 @@ variants first carve off small components found by the bounded-size
 detector, touching only a fraction of the graph per removal, and fall
 back to global cuts for whatever remains.  Every loop walks pieces: a
 component together with its internal edges, split off in one pass.
+
+Detection starts from every vertex once; after a carve or a global cut
+it is retried only from endpoints of the removed edges, as in the
+peeling scheme of Chechik, Hansen, Italiano, Loitzenbauer and
+Parotsidis (SODA 2017).  A piece that becomes small after a cut must
+hold the tail of a removed edge, or both ends of one, since only removed
+edges lower its out-degree.  The global phase decides exactly, so no
+class depends on which vertices are queued.
 """
 
 import dataclasses
@@ -111,8 +119,17 @@ def detection_edge_bound(k, delta):
     return max(2 * k * (delta + k), delta)
 
 
-def _local_directed(vertices, edges, k, delta, rng, classes):
-    """Local peeling of one strongly connected piece (directed scheme)."""
+def _touched(inner, pieces):
+    """Endpoints of the edges of `inner` that no piece kept."""
+    kept = {e.id for _, sub_edges in pieces for e in sub_edges}
+    return {v for e in inner if e.id not in kept for v in (e.tail, e.head)}
+
+
+def _local_directed(vertices, edges, queue, k, delta, rng, classes):
+    """Local peeling of one strongly connected piece (directed scheme).
+
+    Detection starts from the vertices of `queue` and from the endpoints
+    of edges that later carves remove."""
     n_max = max(vertices)
     k_eff = min(k, max(1, delta))
     kd = k_eff - 1
@@ -124,7 +141,7 @@ def _local_directed(vertices, edges, k, delta, rng, classes):
         classes.extend(_baseline(live, live_edges, k))
         return
 
-    worklist = deque(sorted(live))
+    worklist = deque(sorted(queue))
     queued = set(worklist)
     # the detection graphs change only when a component is carved off
     fwd = bwd = None
@@ -171,9 +188,11 @@ def _local_directed(vertices, edges, k, delta, rng, classes):
             classes.append(frozenset(comp))
             continue
         removed = set(cut.cut_edges)
-        for sub, sub_edges in _pieces(
-                comp, [e for e in inner if e.id not in removed]):
-            _local_directed(sub, sub_edges, k, delta, rng, classes)
+        pieces = _pieces(comp, [e for e in inner if e.id not in removed])
+        touched = _touched(inner, pieces)
+        for sub, sub_edges in pieces:
+            _local_directed(sub, sub_edges, sub & touched, k, delta, rng,
+                            classes)
 
 
 def mkecs_directed(g, k, rng, delta=None):
@@ -192,7 +211,7 @@ def mkecs_directed(g, k, rng, delta=None):
         delta = max(1, math.ceil(math.sqrt(max(1, g.m) / k)))
     classes = []
     for comp, inner in _pieces(set(g.vertices()), g.edges):
-        _local_directed(comp, inner, k, delta, rng, classes)
+        _local_directed(comp, inner, comp, k, delta, rng, classes)
     return Decomposition(k, classes)
 
 
@@ -255,8 +274,11 @@ def _undirected_boundary(edges, members):
             if (e.tail in members) != (e.head in members)]
 
 
-def _local_undirected(vertices, uedges, k, gamma, rng, classes):
-    """Local peeling of one connected undirected piece via certificates."""
+def _local_undirected(vertices, uedges, queue, k, gamma, rng, classes):
+    """Local peeling of one connected undirected piece via certificates.
+
+    Detection starts from the vertices of `queue` and from the endpoints
+    of edges that later carves remove."""
     n_max = max(vertices)
     delta = k * gamma
     k_eff = min(k, max(1, delta))
@@ -275,7 +297,7 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
     # the certificate graph changes only on a carve or a rebuild
     cg = None
 
-    worklist = deque(sorted(live))
+    worklist = deque(sorted(queue))
     queued = set(worklist)
     while worklist:
         s = worklist.popleft()
@@ -325,10 +347,12 @@ def _local_undirected(vertices, uedges, k, gamma, rng, classes):
             classes.append(frozenset(comp))
             continue
         cut_uids = {eid // 2 for eid in cut.cut_edges}
-        for sub, sub_edges in _pieces(
-                comp, [e for e in inner if e.id not in cut_uids],
-                undirected=True):
-            _local_undirected(sub, sub_edges, k, gamma, rng, classes)
+        pieces = _pieces(comp, [e for e in inner if e.id not in cut_uids],
+                         undirected=True)
+        touched = _touched(inner, pieces)
+        for sub, sub_edges in pieces:
+            _local_undirected(sub, sub_edges, sub & touched, k, gamma, rng,
+                              classes)
 
 
 def mkecs_undirected(und, k, rng, gamma=None):
@@ -349,7 +373,7 @@ def mkecs_undirected(und, k, rng, gamma=None):
     classes = []
     for comp, inner in _pieces(range(1, und.n + 1), und.edges,
                                undirected=True):
-        _local_undirected(comp, inner, k, gamma, rng, classes)
+        _local_undirected(comp, inner, comp, k, gamma, rng, classes)
     return Decomposition(k, classes)
 
 
