@@ -9,6 +9,13 @@ by Even's scheme of capped flows.  One doubling plus bisection search
 over k finds the exact connectivity value of directed and undirected
 inputs alike; undirected ones are first sparsified with a
 scan-first-forest certificate.
+
+The search has one failure budget.  It probes each threshold once, at
+most P = 2 ceil(log2 n) probes, and each probe samples at constant
+c + log_n P, so a union bound over the probes gives: the returned kappa
+is wrong with probability at most n^-c + P * n^-3, the second term for
+the sweep's detections, each amplified to 1 - n^-3.  A returned cut is
+always a valid witness.
 """
 
 import dataclasses
@@ -273,20 +280,27 @@ def fallback_exact(g, pairs=None):
     return best, best_cut
 
 
-def _kappa_search(n, graph_at, rng, c, repeats):
+def _kappa_search(n, graph_at, rng, c):
     """Doubling search for an upper bracket, then bisection.
 
     `graph_at(k)` is the graph that decides threshold k; the bisection
-    probes the graph of the doubling step that found a cut.  Returns
-    (kappa, cut) with cut None iff no probe found one, i.e. kappa = n - 1.
+    probes the graph of the doubling step that found a cut.  Each
+    threshold is probed once: the doubling reaches n - 1 within
+    ceil(log2 n) probes and the bisection halves [lo, hi] per probe, so
+    there are at most P = 2 ceil(log2 n).  Every probe samples at
+    constant c + log_n P, so by the union bound over the probes the
+    search's sampling misses anything with probability at most n^-c.
+    Returns (kappa, cut) with cut None iff no probe found one, i.e.
+    kappa = n - 1.
     """
+    c_probe = c + math.log(2 * math.ceil(math.log2(n)), n)
     lo, hi = 1, n - 1
     best_cut = None
     pairs = PairCuts()
     k = 2
     while lo < hi:
         g = graph_at(k)
-        verdict = _amplified_probe(g, k, rng, c, repeats, pairs)
+        verdict = is_connectivity_at_least(g, k, rng, c_probe, pairs)
         if verdict.found:
             best_cut = verdict.cut
             hi = best_cut.size
@@ -296,7 +310,7 @@ def _kappa_search(n, graph_at, rng, c, repeats):
         k = min(2 * k, n - 1)
     while lo < hi:
         k = (lo + hi) // 2 + 1
-        verdict = _amplified_probe(g, k, rng, c, repeats, pairs)
+        verdict = is_connectivity_at_least(g, k, rng, c_probe, pairs)
         if verdict.found:
             best_cut = verdict.cut
             hi = best_cut.size
@@ -306,24 +320,15 @@ def _kappa_search(n, graph_at, rng, c, repeats):
     return lo, best_cut
 
 
-def _amplified_probe(g, k, rng, c, repeats, pairs):
-    """Repeat the one-sided decision; any found cut wins immediately."""
-    verdict = None
-    for _ in range(repeats):
-        verdict = is_connectivity_at_least(g, k, rng, c, pairs)
-        if verdict.found:
-            return verdict
-        if verdict.stats["mode"] != "sampled":
-            break  # deterministic outcome, repeating cannot change it
-    return verdict
-
-
-def vertex_connectivity_directed(g, rng, c=2.0, repeats=3):
+def vertex_connectivity_directed(g, rng, c=2.0):
     """Exact directed vertex connectivity with a witness cut.
 
-    Doubling search finds an upper bracket, bisection pins the value;
-    "at least k" verdicts are amplified over `repeats` independent runs
-    so that the union of probe failures stays negligible.  Returns
+    Doubling search finds an upper bracket, bisection pins the value,
+    probing each threshold once.  A returned cut is always valid; the
+    returned kappa is wrong with probability at most n^-c + P * n^-3,
+    P = 2 ceil(log2 n): sampling misses with probability at most n^-c
+    over the whole search, and each of its at most P probes loses a hit
+    side to detection with probability at most n^-3.  Returns
     (kappa, cut) where cut is None iff kappa == n - 1 (or n <= 1).
     """
     n = g.n
@@ -331,7 +336,7 @@ def vertex_connectivity_directed(g, rng, c=2.0, repeats=3):
         return 0, None
     if not is_strongly_connected(g):
         return 0, _degenerate_cut(g)
-    return _kappa_search(n, lambda k: g, rng, c, repeats)
+    return _kappa_search(n, lambda k: g, rng, c)
 
 
 def scan_first_certificate(und, k):
@@ -387,12 +392,14 @@ def _lift_cutset(und, middle):
                      frozenset(alive - comp))
 
 
-def vertex_connectivity_undirected(und, rng, c=2.0, repeats=3):
+def vertex_connectivity_undirected(und, rng, c=2.0):
     """Exact undirected vertex connectivity with a witness cut.
 
     Each doubling step sparsifies with a scan-first certificate for the
     current threshold, bidirects it, and runs the directed decision; the
     separator found on the certificate is re-partitioned on the input.
+    The search and its bound are those of vertex_connectivity_directed:
+    kappa is wrong with probability at most n^-c + P * n^-3.
     """
     n = und.n
     if n <= 1:
@@ -405,8 +412,7 @@ def vertex_connectivity_undirected(und, rng, c=2.0, repeats=3):
     # a certificate for k is valid for every probe up to k, so the
     # bisection may stay on the one that found the cut
     kappa, best_cut = _kappa_search(
-        n, lambda k: scan_first_certificate(und, k).to_directed(),
-        rng, c, repeats)
+        n, lambda k: scan_first_certificate(und, k).to_directed(), rng, c)
     if best_cut is None:
         return kappa, None
     lifted = _lift_cutset(und, best_cut.middle)

@@ -11,7 +11,8 @@ Query accounting: a decision on a graph small enough for its budget
 reads the whole graph and decides exactly by capped flows.  Within one
 tester call, the first such read is charged m and later ones nothing,
 since the reverse graph has the same edges; each (orientation, vertex)
-pair is decided exactly at most once; and once both orientations of
+pair is decided exactly at most once, on the one flow network the call
+builds for that orientation; and once both orientations of
 every vertex are decided and none is a Yes, the call accepts at once.
 Detector rounds are charged the queries the detector made.
 """
@@ -91,14 +92,32 @@ def _effective(cfg):
     return cfg.epsilon, cfg.degree
 
 
-def _exact_edge(g, s, k):
+class _CallReads(dict):
+    """The whole-graph reads of one tester call.
+
+    Maps (orientation, vertex) to its exact decision, and keeps in
+    `nets` the flow network of each orientation read so far, so every
+    exact decision of the call in one orientation shares one network.
+    """
+
+    __slots__ = ("nets",)
+
+    def __init__(self):
+        super().__init__()
+        self.nets = {}
+
+
+def _edge_network(g):
+    return flow.edge_flow_network(g.n, g.edges)
+
+
+def _exact_edge(g, s, k, net):
     """(yes, witness): is s in a proper (k-1)-edge-out component of g?
 
     True iff some other vertex is separated from s by fewer than k
-    edges; decided by capped flows from s on one network.  Draws no
-    randomness.
+    edges; decided by capped flows from s on `net`, g's edge network.
+    Draws no randomness.
     """
-    net = flow.edge_flow_network(g.n, g.edges)
     for t in g.vertices():
         if t == s:
             continue
@@ -111,13 +130,12 @@ def _exact_edge(g, s, k):
     return False, None
 
 
-def _exact_vertex(g, s, k):
+def _exact_vertex(g, s, k, net):
     """(yes, witness): does a set of fewer than k vertices separate some
     t not adjacent from s, with s on the near side?  Decided by capped
-    flows on one network.  Draws no randomness.
+    flows on `net`, g's vertex-split network.  Draws no randomness.
     """
     adjacent = {(e.tail, e.head) for e in g.edges}
-    net = flow.vertex_split_network(g)
     for t in g.vertices():
         if t == s or (s, t) in adjacent:
             continue
@@ -133,18 +151,23 @@ def _exact_vertex(g, s, k):
     return False, None
 
 
-def _read_whole(exact, g, s, k, reads):
+def _read_whole(exact, network, g, s, k, reads):
     """Exact decision of s on g with its query charge.
 
     `reads` is the call's (table, orientation of g); a call without one
     gets a fresh table.  The first read into a table costs g.m, and each
-    (orientation, s) in it is decided at most once.
+    (orientation, s) in it is decided at most once.  A _CallReads table
+    builds g's network by `network(g)` once per orientation; any other
+    table gets one per decision.
     """
     table, orient = reads if reads is not None else ({}, None)
     charge = 0 if table else g.m
     key = (orient, s)
     if key not in table:
-        table[key] = exact(g, s, k)
+        nets = getattr(table, "nets", {})
+        if orient not in nets:
+            nets[orient] = network(g)
+        table[key] = exact(g, s, k, nets[orient])
     yes, witness = table[key]
     return yes, witness, charge
 
@@ -161,7 +184,8 @@ def local_decision_edge(g, s, k, gamma, cfg, rng, reads=None):
     (table, orientation) pair: the table records exact decisions keyed
     by (orientation, vertex), and the orientation names the one g is in.
     With it, only the call's first read is charged and an entry already
-    decided is returned as recorded.
+    decided is returned as recorded; a _CallReads table also lends every
+    decision in one orientation the same flow network.
     """
     kd = k - 1
     if cfg.model == "bounded":
@@ -169,7 +193,7 @@ def local_decision_edge(g, s, k, gamma, cfg, rng, reads=None):
     else:
         delta = max(1, gamma * gamma)
     if g.m <= 2 * k * (delta + k):
-        return _read_whole(_exact_edge, g, s, k, reads)
+        return _read_whole(_exact_edge, _edge_network, g, s, k, reads)
     res = edge_cut.detect_component_param(g, s, kd, delta, 5.0 / 6.0, rng)
     if res and len(res.members) < g.n:
         return True, res, res.queries_used
@@ -188,7 +212,8 @@ def local_decision_vertex(g, s, k, gamma, cfg, rng, reads=None):
     else:
         delta = max(1, 2 * gamma * gamma * k)
     if g.m <= 2 * k * (delta + k):
-        return _read_whole(_exact_vertex, g, s, k, reads)
+        return _read_whole(_exact_vertex, flow.vertex_split_network, g, s,
+                           k, reads)
     res = vertex_cut.detect_vertex_out_component(g, s, kd, delta,
                                                  5.0 / 6.0, rng)
     if res and len(res.members | res.boundary) < g.n:
@@ -240,7 +265,7 @@ def _run_tester(g, cfg, rng, decide, validate, singleton):
         if validate(gg, witness):
             return TesterVerdict(False, witness, orient, queries, samples)
     grev = reverse_graph(g)
-    table = {}
+    table = _CallReads()
     for gamma, count in doubling_schedule(cfg.k, eps, density):
         for _ in range(count):
             s = rng.randint(1, g.n)
