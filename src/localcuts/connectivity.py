@@ -45,9 +45,10 @@ class VertexCut:
             return False
         if not self.left or not self.right:
             return False
+        head = g.head
         for u in self.left:
             for eid in g.out_ids(u):
-                if g.edge(eid).head in self.right:
+                if head(eid) in self.right:
                     return False
         return True
 
@@ -137,10 +138,10 @@ def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
     t_pairs = math.ceil((4.0 * m / delta_star) * c * math.log(n))
     pairs = pairs or PairCuts()
     for _ in range(t_pairs):
-        e1 = g.edges[rng.randrange(m)]
-        e2 = g.edges[rng.randrange(m)]
-        for a in (e1.tail, e1.head):
-            for b in (e2.tail, e2.head):
+        e1 = rng.randrange(m)
+        e2 = rng.randrange(m)
+        for a in (g.tail(e1), g.head(e1)):
+            for b in (g.tail(e2), g.head(e2)):
                 if a == b:
                     continue
                 cut = pairs.cut(g, a, b, k)
@@ -174,8 +175,8 @@ def local_sweep_step(g, k, delta_star, c, rng):
         next_budget = max(delta_star / 2.0 ** (level + 1), 0.5)
         t_i = math.ceil((m / next_budget) * c * math.log(n))
         for _ in range(t_i):
-            e = g.edges[rng.randrange(m)]
-            for s in (e.tail, e.head):
+            e = rng.randrange(m)
+            for s in (g.tail(e), g.head(e)):
                 for orient, gg in (("out", g), ("in", grev)):
                     key = (s, budget, orient)
                     if key in seen:
@@ -259,7 +260,7 @@ def fallback_exact(g, pairs=None):
     n = g.n
     if n <= 1:
         return 0, None
-    adjacent = {(e.tail, e.head) for e in g.edges}
+    adjacent = set(g.pairs())
     pairs = pairs or PairCuts()
     order = list(g.vertices())
     best = n - 1

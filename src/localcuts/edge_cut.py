@@ -10,14 +10,15 @@ component with at most as many leaving edges as passes already run.
 
 import dataclasses
 import math
+from itertools import repeat
 
 from .graph import CountedView, GraphError, Overlay
 
 
 @dataclasses.dataclass
 class DfsResult:
-    # F: edges in processing order, each with its current orientation and
-    # the visited vertex whose scan charged it (its own out-scan, or the
+    # F: (edge id, charger) pairs in processing order; the charger is the
+    # visited vertex whose scan charged the edge (its own out-scan, or the
     # in-scan of its interior partner in symmetric modes).
     processed: list
     visited: set
@@ -58,7 +59,8 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
     Each scan reads the vertex's incidence list of `view.base` once and
     charges `view.query_count` as the probes of CountedView would: a
     full scan of d slots costs d + 1 (the probe that finds slot d + 1
-    absent included), a scan the budget stops at slot j costs j.
+    absent included), a scan the budget stops at slot j costs j.  The
+    walk reads edge ids and `head(eid)` only; it builds no Edge.
     """
     processed = []
     visited = set()
@@ -69,7 +71,7 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
     base = view.base
     if not base.has_vertex(s):
         raise GraphError("unknown vertex %r" % (s,))
-    edge, out_ids, in_ids = base.edge, base.out_ids, base.in_ids
+    head, out_ids, in_ids = base.head, base.out_ids, base.in_ids
     stack = [s]
     while stack:
         u = stack.pop()
@@ -82,7 +84,7 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
                 in_scanned.add(q)
                 ids = in_ids(q)
                 room = budget - len(processed)
-                processed.extend((edge(eid), u) for eid in ids[:room])
+                processed.extend(zip(ids[:room], repeat(u)))
                 view.query_count += min(len(ids) + 1, room)
                 if len(ids) >= room:
                     return DfsResult(processed, visited, tree_parent, False)
@@ -90,9 +92,8 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
         room = budget - len(processed)
         view.query_count += min(len(ids) + 1, room)
         for eid in ids[:room]:
-            e = edge(eid)
-            processed.append((e, u))
-            h = e.head
+            processed.append((eid, u))
+            h = head(eid)
             if h != s and h not in tree_parent:
                 tree_parent[h] = (u, eid)
             stack.append(h)
@@ -124,15 +125,17 @@ def _sample_path(overlay, s, res, rng):
     path to the visited vertex whose scan charged the edge (reversing
     any root path preserves the soundness and minimality guarantees).
     """
-    e, charger = res.processed[rng.randrange(len(res.processed))]
+    eid, charger = res.processed[rng.randrange(len(res.processed))]
 
     def in_tree(v):
         return v == s or v in res.tree_parent
 
-    if in_tree(e.tail):
-        path = _tree_path(res.tree_parent, s, e.tail)
-        return path + [e.id] if overlay.is_reversed(e.id) else path
-    end = e.head if in_tree(e.head) else charger
+    tail = overlay.tail(eid)
+    if in_tree(tail):
+        path = _tree_path(res.tree_parent, s, tail)
+        return path + [eid] if overlay.is_reversed(eid) else path
+    head = overlay.head(eid)
+    end = head if in_tree(head) else charger
     return _tree_path(res.tree_parent, s, end)
 
 
@@ -162,19 +165,21 @@ def _run_detection(base, s, k, round_budget, final_budget, final_accept, rng,
 
 def out_edge_ids(g, members):
     """Edges of g leaving the vertex set (self-loops never leave)."""
+    head = g.head
     out = []
     for u in members:
         for eid in g.out_ids(u):
-            if g.edge(eid).head not in members:
+            if head(eid) not in members:
                 out.append(eid)
     return out
 
 
 def internal_edge_count(g, members):
+    head = g.head
     cnt = 0
     for u in members:
         for eid in g.out_ids(u):
-            if g.edge(eid).head in members:
+            if head(eid) in members:
                 cnt += 1
     return cnt
 

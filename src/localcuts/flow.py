@@ -80,8 +80,8 @@ def vertex_split_network(g):
     net = Network(2 * g.n + 2)
     for v in g.vertices():
         net.add(2 * v, 2 * v + 1, 1)
-    for e in g.edges:
-        net.add(2 * e.tail + 1, 2 * e.head, UNBOUNDED)
+    for t, h in g.pairs():
+        net.add(2 * t + 1, 2 * h, UNBOUNDED)
     return net
 
 

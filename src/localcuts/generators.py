@@ -108,8 +108,8 @@ def planted_edge_component(component_size, k, blob_edges, rng):
     pairs.append((rng.choice(blob), 1))
     g = Graph(n, pairs)
     members = set(range(1, c + 1))
-    out = [e for e in g.edges if e.tail in members and e.head not in members]
-    assert len(out) == k
+    assert sum(t in members and h not in members
+               for t, h in g.pairs()) == k
     assert is_strongly_connected(g)
     cert = {"component": members, "out_edge_count": k, "edge_size": c}
     return g, cert
@@ -141,8 +141,8 @@ def planted_separator(side_left, side_right, sep_size, rng,
         pairs.append((rng.choice(right), rng.choice(left)))
     g = Graph(n, pairs)
     lset, mset, rset = set(left), set(mid), set(right)
-    for e in g.edges:
-        assert not (e.tail in lset and e.head in rset)
+    for t, h in g.pairs():
+        assert not (t in lset and h in rset)
     assert is_strongly_connected(g)
     cert = {"left": lset, "middle": mset, "right": rset}
     return g, cert
@@ -211,10 +211,10 @@ def farness_lower_bound(g, k):
                 comp_of[v] = i
         out_cut = [0] * len(comps)
         in_cut = [0] * len(comps)
-        for e in g.edges:
-            if comp_of[e.tail] != comp_of[e.head]:
-                out_cut[comp_of[e.tail]] += 1
-                in_cut[comp_of[e.head]] += 1
+        for t, h in g.pairs():
+            if comp_of[t] != comp_of[h]:
+                out_cut[comp_of[t]] += 1
+                in_cut[comp_of[h]] += 1
         comp_bound = max(sum(max(0, k - c) for c in out_cut),
                          sum(max(0, k - c) for c in in_cut))
     return max(degree_bound, comp_bound)

@@ -1,8 +1,18 @@
 """Directed multigraph with incidence-list query access.
 
-Vertices are 1-based integers.  The id of an edge is its position in
-`g.edges`, 0..m-1, so overlays can reverse individual edges by id
-without touching the base graph.
+Vertices are 1-based integers.  The id of an edge is its position,
+0..m-1, so overlays can reverse individual edges by id without touching
+the base graph.  A Graph stores its edges as two flat int lists, the
+tails and the heads, next to the per-vertex incidence lists of ids.
+
+Graph, Overlay and SplitGraph (in vertex_cut) share one probe protocol:
+`out_ids(u)`/`in_ids(u)` give a vertex's incidence lists of edge ids,
+and `tail(eid)`/`head(eid)` the endpoints of an edge in the view's
+current orientation.  The detectors read only this protocol, so they
+build no Edge objects.  Edge triples are the API boundary: `g.edges`
+and `g.edge(eid)` build the list of all m Edges on first use and then
+cache it on the graph.
+
 Local algorithms are charged per incidence slot they read: one query
 per slot, plus one for the probe that learns the slot after the last is
 absent.  CountedView holds the count and offers that probe one slot at
@@ -21,7 +31,7 @@ class EdgeListError(GraphError):
     """Raised on malformed edge-list input; message carries a line number."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Edge:
     id: int
     tail: int
@@ -31,36 +41,42 @@ class Edge:
 class Graph:
     """Immutable directed multigraph over vertices 1..n."""
 
-    __slots__ = ("n", "m", "edges", "_out", "_in")
+    __slots__ = ("n", "m", "_tail", "_head", "_out", "_in", "_edges")
 
     def __init__(self, n, pairs):
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
-        self.n = n
-        self.edges = [Edge(i, t, h) for i, (t, h) in enumerate(pairs)]
-        self._index()
+        tail, head = [], []
+        for t, h in pairs:
+            tail.append(t)
+            head.append(h)
+        self._fill(n, tail, head)
 
     @classmethod
     def from_edges(cls, n, edges):
         """Build from Edge triples whose ids are their positions."""
-        g = cls.__new__(cls)
-        g.n = n
-        g.edges = list(edges)
-        for i, e in enumerate(g.edges):
+        edges = list(edges)
+        for i, e in enumerate(edges):
             if e.id != i:
                 raise GraphError("edge id %d at position %d" % (e.id, i))
-        g._index()
+        g = _from_arrays(n, [e.tail for e in edges], [e.head for e in edges])
+        g._edges = edges
         return g
 
-    def _index(self):
-        self.m = len(self.edges)
-        self._out = [[] for _ in range(self.n + 1)]
-        self._in = [[] for _ in range(self.n + 1)]
-        for e in self.edges:
-            if not (1 <= e.tail <= self.n and 1 <= e.head <= self.n):
-                raise GraphError("edge %d endpoint out of range" % e.id)
-            self._out[e.tail].append(e.id)
-            self._in[e.head].append(e.id)
+    def _fill(self, n, tail, head):
+        """Take the endpoint lists and index them; ids are positions."""
+        if n < 0:
+            raise GraphError("vertex count must be non-negative")
+        out = [[] for _ in range(n + 1)]
+        inc = [[] for _ in range(n + 1)]
+        for eid, t in enumerate(tail):
+            h = head[eid]
+            if not (1 <= t <= n and 1 <= h <= n):
+                raise GraphError("edge %d endpoint out of range" % eid)
+            out[t].append(eid)
+            inc[h].append(eid)
+        self.n, self.m = n, len(tail)
+        self._tail, self._head = tail, head
+        self._out, self._in = out, inc
+        self._edges = None
 
     def has_vertex(self, v):
         return 1 <= v <= self.n
@@ -73,6 +89,24 @@ class Graph:
 
     def in_ids(self, u):
         return self._in[u]
+
+    def tail(self, eid):
+        return self._tail[eid]
+
+    def head(self, eid):
+        return self._head[eid]
+
+    def pairs(self):
+        """(tail, head) of every edge, in id order."""
+        return zip(self._tail, self._head)
+
+    @property
+    def edges(self):
+        """All edges as Edge triples, in id order; built once, on demand."""
+        if self._edges is None:
+            self._edges = [Edge(i, t, h)
+                           for i, (t, h) in enumerate(self.pairs())]
+        return self._edges
 
     def edge(self, eid):
         if 0 <= eid < self.m:
@@ -88,11 +122,18 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n == other.n and self.edges == other.edges
-                and self._out == other._out and self._in == other._in)
+        return (self.n == other.n and self._tail == other._tail
+                and self._head == other._head)
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
+
+
+def _from_arrays(n, tail, head):
+    """Graph whose edge i runs from tail[i] to head[i]; takes the lists."""
+    g = Graph.__new__(Graph)
+    g._fill(n, tail, head)
+    return g
 
 
 class UndirectedGraph:
@@ -121,7 +162,12 @@ class UndirectedGraph:
         return d
 
     def to_directed(self):
-        return Graph.from_edges(self.n, bidirect(self.edges))
+        """The antiparallel encoding of `bidirect`, as a Graph."""
+        tail, head = [], []
+        for e in self.edges:
+            tail += (e.tail, e.head)
+            head += (e.head, e.tail)
+        return _from_arrays(self.n, tail, head)
 
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):
@@ -150,10 +196,15 @@ def reverse_graph(g):
     """Graph with every edge flipped; ids are preserved.
 
     Incidence lists swap roles, so the i-th in-edge of v in g is the
-    i-th out-edge of v in the reverse.
+    i-th out-edge of v in the reverse.  Both graphs are immutable, so
+    the reverse shares g's endpoint and incidence lists.
     """
-    rev = [Edge(e.id, e.head, e.tail) for e in g.edges]
-    return Graph.from_edges(g.n, rev)
+    rev = Graph.__new__(Graph)
+    rev.n, rev.m = g.n, g.m
+    rev._tail, rev._head = g._head, g._tail
+    rev._out, rev._in = g._in, g._out
+    rev._edges = None
+    return rev
 
 
 def load_edge_list(text):
@@ -196,14 +247,14 @@ def load_edge_list(text):
 
 def dump_edge_list(g):
     lines = ["%d %d" % (g.n, g.m)]
-    for e in g.edges:
-        lines.append("%d %d" % (e.tail, e.head))
+    for t, h in g.pairs():
+        lines.append("%d %d" % (t, h))
     return "\n".join(lines) + "\n"
 
 
 def load_undirected_edge_list(text):
     g = load_edge_list(text)
-    return UndirectedGraph(g.n, [(e.tail, e.head) for e in g.edges])
+    return UndirectedGraph(g.n, g.pairs())
 
 
 class Overlay:
@@ -229,6 +280,16 @@ class Overlay:
     def is_reversed(self, eid):
         return eid in self.reversed_ids
 
+    def tail(self, eid):
+        if eid in self.reversed_ids:
+            return self.base.head(eid)
+        return self.base.tail(eid)
+
+    def head(self, eid):
+        if eid in self.reversed_ids:
+            return self.base.tail(eid)
+        return self.base.head(eid)
+
     def edge(self, eid):
         e = self.base.edge(eid)
         if eid in self.reversed_ids:
@@ -250,14 +311,14 @@ class Overlay:
 
     def flip(self, eid):
         """Reverse one edge's current orientation."""
-        cur = self.edge(eid)
-        self._materialize(cur.tail)
-        self._materialize(cur.head)
-        self._out[cur.tail].remove(eid)
-        self._in[cur.head].remove(eid)
+        t, h = self.tail(eid), self.head(eid)
+        self._materialize(t)
+        self._materialize(h)
+        self._out[t].remove(eid)
+        self._in[h].remove(eid)
         # new orientation: head -> tail, appended at the end of each list
-        self._out[cur.head].append(eid)
-        self._in[cur.tail].append(eid)
+        self._out[h].append(eid)
+        self._in[t].append(eid)
         if eid in self.reversed_ids:
             self.reversed_ids.discard(eid)
         else:
@@ -268,10 +329,9 @@ class Overlay:
         if __debug__ and edge_ids:
             prev = None
             for eid in edge_ids:
-                e = self.edge(eid)
-                assert prev is None or e.tail == prev, \
+                assert prev is None or self.tail(eid) == prev, \
                     "path edges are not consecutive"
-                prev = e.head
+                prev = self.head(eid)
         for eid in edge_ids:
             self.flip(eid)
 
@@ -295,7 +355,8 @@ class CountedView:
         ids = self.base.out_ids(u)
         if i > len(ids):
             return None
-        return self.base.edge(ids[i - 1])
+        eid = ids[i - 1]
+        return Edge(eid, self.base.tail(eid), self.base.head(eid))
 
     def query_in_edge(self, u, i):
         if not self.base.has_vertex(u):
@@ -306,7 +367,8 @@ class CountedView:
         ids = self.base.in_ids(u)
         if i > len(ids):
             return None
-        return self.base.edge(ids[i - 1])
+        eid = ids[i - 1]
+        return Edge(eid, self.base.tail(eid), self.base.head(eid))
 
 
 def strongly_connected_components(vertices, succ):
@@ -366,7 +428,7 @@ def strongly_connected_components(vertices, succ):
 
 def graph_sccs(g):
     return strongly_connected_components(
-        g.vertices(), lambda v: (g.edge(eid).head for eid in g.out_ids(v)))
+        g.vertices(), lambda v: map(g.head, g.out_ids(v)))
 
 
 def is_strongly_connected(g):

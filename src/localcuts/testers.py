@@ -135,7 +135,7 @@ def _exact_vertex(g, s, k, net):
     t not adjacent from s, with s on the near side?  Decided by capped
     flows on `net`, g's vertex-split network.  Draws no randomness.
     """
-    adjacent = {(e.tail, e.head) for e in g.edges}
+    adjacent = set(g.pairs())
     for t in g.vertices():
         if t == s or (s, t) in adjacent:
             continue

@@ -55,16 +55,25 @@ class SplitGraph:
     def original(self, v):
         return v if v <= self.base.n else v - self.base.n
 
+    def tail(self, eid):
+        base = self.base
+        if eid < base.m:
+            return base.tail(eid)
+        return base.n + eid - base.m
+
+    def head(self, eid):
+        base = self.base
+        if eid < base.m:
+            h = base.head(eid)
+            return h if h == self.s else base.n + h
+        return eid - base.m
+
     def edge(self, eid):
         base = self.base
-        m = base.m
-        if 0 <= eid < m:
-            e = base.edges[eid]
-            return Edge(eid, e.tail, self._in_copy(e.head))
-        v = eid - m
-        if not (1 <= v <= base.n) or v == self.s:
+        v = eid - base.m
+        if not (0 <= eid < base.m or (1 <= v <= base.n and v != self.s)):
             raise GraphError("unknown edge id %d" % eid)
-        return Edge(eid, base.n + v, v)
+        return Edge(eid, self.tail(eid), self.head(eid))
 
     def out_ids(self, u):
         base = self.base
@@ -108,9 +117,8 @@ class SplitGraph:
                 return v
             return v - 1 if v - n > self.s else v
 
-        edges = []
-        for e in self.base.edges:
-            edges.append((remap(e.tail), remap(self._in_copy(e.head))))
+        edges = [(remap(t), remap(self._in_copy(h)))
+                 for t, h in self.base.pairs()]
         for v in range(1, n + 1):
             if v != self.s:
                 edges.append((remap(n + v), v))
@@ -143,10 +151,11 @@ def symmetric_volume(g, members):
 
 
 def boundary_of(g, members):
+    head = g.head
     b = set()
     for u in members:
         for eid in g.out_ids(u):
-            h = g.edge(eid).head
+            h = head(eid)
             if h not in members:
                 b.add(h)
     return b

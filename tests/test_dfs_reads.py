@@ -58,6 +58,11 @@ def flat(processed):
     return [(e.id, e.tail, e.head, charger) for e, charger in processed]
 
 
+def flat_ids(processed, base):
+    return [(eid, base.tail(eid), base.head(eid), charger)
+            for eid, charger in processed]
+
+
 def assert_same_walks(view_of, s, partner):
     ref_view = CountedView(view_of())
     full = reference_dfs(ref_view, s, 10 ** 9, partner)
@@ -67,7 +72,7 @@ def assert_same_walks(view_of, s, partner):
         ref = reference_dfs(ref_view, s, budget, partner)
         view = CountedView(view_of())
         res = budgeted_dfs(view, s, budget, interior_partner=partner)
-        assert flat(res.processed) == flat(ref[0]), budget
+        assert flat_ids(res.processed, view.base) == flat(ref[0]), budget
         assert res.visited == ref[1]
         assert res.tree_parent == ref[2]
         assert res.completed == ref[3]
@@ -130,3 +135,43 @@ def test_unknown_start_vertex_raises():
     g = Graph(3, [(1, 2), (2, 3)])
     with pytest.raises(GraphError):
         budgeted_dfs(CountedView(g), 4, 5)
+
+
+def assert_protocol_matches_edges(view, ids):
+    for eid in ids:
+        e = view.edge(eid)
+        assert (view.tail(eid), view.head(eid)) == (e.tail, e.head), eid
+
+
+def split_endpoints(g, s, eid):
+    """The split graph's edge rule written out: an image of a base edge
+    runs to the head's in-copy (s itself for s), the transit edge of v
+    from n + v to v."""
+    if eid < g.m:
+        e = g.edges[eid]
+        return e.tail, e.head if e.head == s else g.n + e.head
+    v = eid - g.m
+    return g.n + v, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.integers(0, 2 ** 32), st.data())
+def test_head_and_tail_match_the_edge(g, seed, data):
+    """head/tail agree with edge() on every id of every view, and with
+    the split rule on the split graph and on an overlay of it."""
+    s = data.draw(st.integers(1, g.n))
+    sv = SplitGraph(g, s)
+    split_ids = list(range(g.m)) + [g.m + v for v in g.vertices() if v != s]
+    assert_protocol_matches_edges(g, range(g.m))
+    assert_protocol_matches_edges(reversed_overlay(g, seed), range(g.m))
+    assert_protocol_matches_edges(sv, split_ids)
+    flipped = Overlay(sv)
+    chosen = random.Random(seed).sample(split_ids, len(split_ids) // 2)
+    for eid in chosen:
+        flipped.flip(eid)
+    assert_protocol_matches_edges(flipped, split_ids)
+    for eid in split_ids:
+        t, h = split_endpoints(g, s, eid)
+        assert (sv.tail(eid), sv.head(eid)) == (t, h), eid
+        expected = (h, t) if eid in chosen else (t, h)
+        assert (flipped.tail(eid), flipped.head(eid)) == expected, eid

@@ -25,7 +25,7 @@ def test_dfs_visits_reachable_set_under_budget():
     res = budgeted_dfs(CountedView(path_graph()), 1, 10)
     assert res.completed
     assert res.visited == {1, 2, 3}
-    assert [e.id for e, _ in res.processed] == [0, 1]
+    assert [eid for eid, _ in res.processed] == [0, 1]
     assert res.tree_parent == {2: (1, 0), 3: (2, 1)}
 
 
