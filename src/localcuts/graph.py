@@ -57,7 +57,8 @@ class Graph:
         for i, e in enumerate(edges):
             if e.id != i:
                 raise GraphError("edge id %d at position %d" % (e.id, i))
-        g = _from_arrays(n, [e.tail for e in edges], [e.head for e in edges])
+        g = cls.__new__(cls)
+        g._fill(n, [e.tail for e in edges], [e.head for e in edges])
         g._edges = edges
         return g
 
@@ -73,10 +74,25 @@ class Graph:
                 raise GraphError("edge %d endpoint out of range" % eid)
             out[t].append(eid)
             inc[h].append(eid)
+        self._share(n, tail, head, out, inc)
+
+    def _share(self, n, tail, head, out, inc):
+        """Set every slot from the given lists, which are taken, not copied."""
         self.n, self.m = n, len(tail)
         self._tail, self._head = tail, head
         self._out, self._in = out, inc
         self._edges = None
+
+    def _reversed(self):
+        """This graph with every edge flipped; ids are preserved.
+
+        Incidence lists swap roles, so the i-th in-edge of v here is the
+        i-th out-edge of v in the reverse.  Both graphs are immutable, so
+        the reverse shares this graph's endpoint and incidence lists.
+        """
+        rev = Graph.__new__(Graph)
+        rev._share(self.n, self._head, self._tail, self._in, self._out)
+        return rev
 
     def has_vertex(self, v):
         return 1 <= v <= self.n
@@ -129,13 +145,6 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
 
 
-def _from_arrays(n, tail, head):
-    """Graph whose edge i runs from tail[i] to head[i]; takes the lists."""
-    g = Graph.__new__(Graph)
-    g._fill(n, tail, head)
-    return g
-
-
 class UndirectedGraph:
     """Undirected multigraph; each edge is an unordered endpoint pair."""
 
@@ -152,6 +161,10 @@ class UndirectedGraph:
     def m(self):
         return len(self.edges)
 
+    def pairs(self):
+        """(tail, head) of every edge, in id order."""
+        return ((e.tail, e.head) for e in self.edges)
+
     def degree(self, v):
         d = 0
         for e in self.edges:
@@ -163,11 +176,8 @@ class UndirectedGraph:
 
     def to_directed(self):
         """The antiparallel encoding of `bidirect`, as a Graph."""
-        tail, head = [], []
-        for e in self.edges:
-            tail += (e.tail, e.head)
-            head += (e.head, e.tail)
-        return _from_arrays(self.n, tail, head)
+        return Graph(self.n,
+                     ((t, h) for _, t, h in _antiparallel(self.edges)))
 
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):
@@ -178,33 +188,26 @@ class UndirectedGraph:
         return "UndirectedGraph(n=%d, m=%d)" % (self.n, self.m)
 
 
-def bidirect(edges):
-    """Antiparallel-pair encoding of undirected edges.
+def _antiparallel(edges):
+    """(id, tail, head) of each directed edge of the antiparallel encoding.
 
     Undirected edge i becomes the directed edges 2i (tail -> head) and
     2i + 1 (head -> tail), in that order, so a directed id maps back to
     its undirected edge by `eid // 2`.
     """
-    out = []
     for e in edges:
-        out.append(Edge(2 * e.id, e.tail, e.head))
-        out.append(Edge(2 * e.id + 1, e.head, e.tail))
-    return out
+        yield 2 * e.id, e.tail, e.head
+        yield 2 * e.id + 1, e.head, e.tail
+
+
+def bidirect(edges):
+    """Antiparallel-pair encoding of undirected edges, as Edge triples."""
+    return [Edge(eid, t, h) for eid, t, h in _antiparallel(edges)]
 
 
 def reverse_graph(g):
-    """Graph with every edge flipped; ids are preserved.
-
-    Incidence lists swap roles, so the i-th in-edge of v in g is the
-    i-th out-edge of v in the reverse.  Both graphs are immutable, so
-    the reverse shares g's endpoint and incidence lists.
-    """
-    rev = Graph.__new__(Graph)
-    rev.n, rev.m = g.n, g.m
-    rev._tail, rev._head = g._head, g._tail
-    rev._out, rev._in = g._in, g._out
-    rev._edges = None
-    return rev
+    """Graph with every edge flipped; see Graph._reversed."""
+    return g._reversed()
 
 
 def load_edge_list(text):

@@ -40,9 +40,6 @@ class SplitGraph:
     def edge_count(self):
         return self.base.m + self.base.n - 1
 
-    def _in_copy(self, v):
-        return v if v == self.s else self.base.n + v
-
     def has_vertex(self, v):
         n = self.base.n
         if 1 <= v <= n:
@@ -117,8 +114,8 @@ class SplitGraph:
                 return v
             return v - 1 if v - n > self.s else v
 
-        edges = [(remap(t), remap(self._in_copy(h)))
-                 for t, h in self.base.pairs()]
+        edges = [(remap(self.tail(eid)), remap(self.head(eid)))
+                 for eid in range(self.base.m)]
         for v in range(1, n + 1):
             if v != self.s:
                 edges.append((remap(n + v), v))

@@ -99,6 +99,19 @@ def test_tester_command(tmp_path, clique_file):
     assert json.loads(r.stdout)["verdict"] == "Accept"
 
 
+@pytest.mark.parametrize("family,params", [
+    ("clique_union", {"count": 2, "size": 3}),
+    ("figure_shape", {}),
+])
+def test_gen_undirected_family_round_trips(family, params):
+    from localcuts import generators
+    from localcuts.graph import load_undirected_edge_list
+    r = run_cli("gen", family, "--params", json.dumps(params))
+    assert r.returncode == 0, r.stderr
+    g, _ = generators.generate(generators.GeneratorSpec(family, params, 0))
+    assert load_undirected_edge_list(r.stdout) == g
+
+
 def test_gen_and_oracle_roundtrip(tmp_path):
     out = tmp_path / "gen.txt"
     cert = tmp_path / "cert.json"

@@ -37,6 +37,7 @@ def test_reverse_and_bidirect_keep_ids_positional():
     assert [(e.id, e.tail, e.head) for e in bidirect(und.edges)] == \
         [(0, 1, 2), (1, 2, 1), (2, 2, 3), (3, 3, 2), (4, 3, 3), (5, 3, 3)]
     assert [e.id for e in d.edges] == list(range(d.m))
+    assert d == Graph.from_edges(und.n, bidirect(und.edges))
     r = reverse_graph(d)
     assert [e.id for e in r.edges] == list(range(r.m))
 
