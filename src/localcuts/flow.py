@@ -20,14 +20,18 @@ UNBOUNDED = float("inf")
 
 
 class Network:
-    """Flat residual network over nodes 0..nodes-1."""
+    """Flat residual network over nodes 0..nodes-1, or over the node ids
+    of `nodes` when it is a collection rather than a count."""
 
     __slots__ = ("head", "cap", "arcs")
 
     def __init__(self, nodes):
         self.head = []
         self.cap = []
-        self.arcs = [[] for _ in range(nodes)]
+        if isinstance(nodes, int):
+            self.arcs = [[] for _ in range(nodes)]
+        else:
+            self.arcs = {u: [] for u in nodes}
 
     def add(self, u, v, c):
         a = len(self.head)
@@ -105,9 +109,13 @@ def st_vertex_cut_at_most(g, s, t, k, net=None):
     return left, middle, right
 
 
-def edge_flow_network(n, edges):
-    """Unit-capacity network over vertices 1..n, one arc per edge."""
-    net = Network(n + 1)
+def edge_flow_network(n, edges, vertices=None):
+    """Unit-capacity network over vertices 1..n, one arc per edge.
+
+    Given `vertices`, a piece of a larger graph that holds every endpoint
+    of `edges`, the network has a node for those vertices only, so its
+    size does not depend on n."""
+    net = Network(n + 1 if vertices is None else vertices)
     for e in edges:
         net.add(e.tail, e.head, 1)
     return net

@@ -7,7 +7,19 @@ peels strongly connected components and global small cuts; the local
 variants first carve off small components found by the bounded-size
 detector, touching only a fraction of the graph per removal, and fall
 back to global cuts for whatever remains.  Every loop walks pieces: a
-component together with its internal edges, split off in one pass.
+component together with its internal edges, split off in one pass, on
+an explicit stack rather than by recursion.
+
+The order within a piece is: one global cut search, then a local phase
+only if the piece has a cut below k.  The detector returns only sets
+with fewer than k leaving edges, so on a k-edge-connected piece every
+detection would fail; such a piece is a class and runs none.  A cut
+search roots its flows at a vertex of minimum degree (ties to the
+smallest id), where a small side that the local phase would carve
+shows up in the first flows.  When the local phase carves nothing the
+piece is unchanged and its first cut is reused.  So detection runs no
+more often than with no search first, and the global searches are one
+per piece plus at most one for each piece whose local phase carves.
 
 Detection starts from every vertex once; after a carve or a global cut
 it is retried only from endpoints of the removed edges, as in the
@@ -48,22 +60,28 @@ class Decomposition:
 def _cut_below(vertices, edges, k):
     """Directed cut (S, rest) with fewer than k edges, on a strongly
     connected piece, or None.  Max-flow from and to a fixed root decides
-    the global minimum cut exactly; one network serves every flow."""
+    the global minimum cut exactly; one network over the piece's own
+    vertices serves every flow.
+
+    The root is a vertex of minimum degree (ties to the smallest id) and
+    the other vertices follow in id order: a small side with fewer than
+    k leaving edges has low degrees, so the first flows usually find it.
+    """
     if len(vertices) <= 1:
         return None
     ordered = sorted(vertices)
-    root = ordered[0]
-    n_max = max(vertices)
-    net = flow.edge_flow_network(n_max, edges)
-    for v in ordered[1:]:
-        res = flow.st_edge_cut_below(n_max, edges, root, v, k, net)
-        if res is not None:
-            side, cut = res
-            return EdgeCut(frozenset(side & set(vertices)), tuple(cut))
-        res = flow.st_edge_cut_below(n_max, edges, v, root, k, net)
-        if res is not None:
-            side, cut = res
-            return EdgeCut(frozenset(side & set(vertices)), tuple(cut))
+    n_max = ordered[-1]
+    net = flow.edge_flow_network(n_max, edges, ordered)
+    # a node's arc list holds one arc per edge at it, in or out
+    root = min(ordered, key=lambda v: len(net.arcs[v]))
+    for v in ordered:
+        if v == root:
+            continue
+        for s, t in ((root, v), (v, root)):
+            res = flow.st_edge_cut_below(n_max, edges, s, t, k, net)
+            if res is not None:
+                side, cut = res
+                return EdgeCut(frozenset(side), tuple(cut))
     return None
 
 
@@ -119,28 +137,26 @@ def detection_edge_bound(k, delta):
     return max(2 * k * (delta + k), delta)
 
 
-def _touched(inner, pieces):
-    """Endpoints of the edges of `inner` that no piece kept."""
+def _split(comp, inner, removed, undirected=False):
+    """Pieces of (comp, inner) once the edges with ids in `removed` are
+    gone, each as (vertices, edges, queue): its queue holds its endpoints
+    of the edges no piece kept, where a new small component must touch."""
+    pieces = _pieces(comp, [e for e in inner if e.id not in removed],
+                     undirected)
     kept = {e.id for _, sub_edges in pieces for e in sub_edges}
-    return {v for e in inner if e.id not in kept for v in (e.tail, e.head)}
+    touched = {v for e in inner if e.id not in kept for v in (e.tail, e.head)}
+    return [(sub, sub_edges, sub & touched) for sub, sub_edges in pieces]
 
 
-def _local_directed(vertices, edges, queue, k, delta, rng, classes):
-    """Local peeling of one strongly connected piece (directed scheme).
-
-    Detection starts from the vertices of `queue` and from the endpoints
-    of edges that later carves remove."""
+def _carve_directed(vertices, edges, queue, k, kd, delta, rng, classes):
+    """Local phase on one strongly connected piece: carve off what the
+    detector finds, appending its classes; returns the live vertices and
+    edges.  Detection starts from the vertices of `queue` and from the
+    endpoints of edges that later carves remove."""
     n_max = max(vertices)
-    k_eff = min(k, max(1, delta))
-    kd = k_eff - 1
     p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
     live = set(vertices)
     live_edges = edges
-
-    if len(live_edges) <= detection_edge_bound(kd, delta):
-        classes.extend(_baseline(live, live_edges, k))
-        return
-
     worklist = deque(sorted(queue))
     queued = set(worklist)
     # the detection graphs change only when a component is carved off
@@ -182,21 +198,55 @@ def _local_directed(vertices, edges, queue, k, delta, rng, classes):
             if v not in queued:
                 worklist.append(v)
                 queued.add(v)
-    for comp, inner in _pieces(live, live_edges):
-        cut = _cut_below(comp, inner, k)
-        if cut is None:
-            classes.append(frozenset(comp))
+    return live, live_edges
+
+
+def _local_directed(pieces, k, delta, rng):
+    """Classes of strongly connected pieces, walked on one explicit stack
+    of (vertices, edges, queue).
+
+    A piece too small for the detector's cap goes to the baseline.  Any
+    other piece gets one global cut search first: with no cut below k it
+    is a class and runs no detection.  Otherwise the local phase carves
+    it, and the global phase splits what is left by a cut below k,
+    reusing the first search's cut when nothing was carved."""
+    kd = min(k, max(1, delta)) - 1
+    bound = detection_edge_bound(kd, delta)
+    classes = []
+    stack = [(comp, inner, comp) for comp, inner in pieces]
+    while stack:
+        vertices, edges, queue = stack.pop()
+        if len(edges) <= bound:
+            classes.extend(_baseline(vertices, edges, k))
             continue
-        removed = set(cut.cut_edges)
-        pieces = _pieces(comp, [e for e in inner if e.id not in removed])
-        touched = _touched(inner, pieces)
-        for sub, sub_edges in pieces:
-            _local_directed(sub, sub_edges, sub & touched, k, delta, rng,
-                            classes)
+        cut = _cut_below(vertices, edges, k)
+        if cut is None:
+            classes.append(frozenset(vertices))
+            continue
+        live, live_edges = _carve_directed(vertices, edges, queue, k, kd,
+                                           delta, rng, classes)
+        if len(live) == len(vertices):
+            rest = [(vertices, edges, cut)]
+        else:
+            rest = [(comp, inner, _cut_below(comp, inner, k))
+                    for comp, inner in _pieces(live, live_edges)]
+        for comp, inner, cut in rest:
+            if cut is None:
+                classes.append(frozenset(comp))
+            else:
+                stack += _split(comp, inner, set(cut.cut_edges))
+    return classes
 
 
 def mkecs_directed(g, k, rng, delta=None):
     """Decomposition driven by local detection; equals the baseline.
+
+    Each strongly connected piece is first searched for a global cut
+    below k, rooted at a vertex of minimum degree.  Only a piece with
+    such a cut runs the local phase; a k-edge-connected piece runs no
+    detection.  Detection therefore runs no more often than it would
+    with no search first, and the global searches are one per piece
+    plus at most one for each piece whose local phase carves something.
 
     delta defaults to ceil(sqrt(m / k)), balancing detection budgets
     against the number of global cut rounds.
@@ -209,13 +259,11 @@ def mkecs_directed(g, k, rng, delta=None):
         return Decomposition(k, [])
     if delta is None:
         delta = max(1, math.ceil(math.sqrt(max(1, g.m) / k)))
-    classes = []
-    for comp, inner in _pieces(set(g.vertices()), g.edges):
-        _local_directed(comp, inner, comp, k, delta, rng, classes)
-    return Decomposition(k, classes)
+    return Decomposition(k, _local_directed(
+        _pieces(set(g.vertices()), g.edges), k, delta, rng))
 
 
-def _forest_rounds(n, edges, k):
+def _forest_rounds(edges, k):
     """k maximal spanning forests, preferring edges at low-degree endpoints.
 
     Pushing forests onto the sparse periphery first makes dense cores
@@ -264,7 +312,7 @@ def sparse_certificate(und, k):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    kept = _forest_rounds(und.n, und.edges, k)
+    kept = _forest_rounds(und.edges, k)
     kept.sort(key=lambda e: e.id)
     return UndirectedGraph(und.n, [(e.tail, e.head) for e in kept])
 
@@ -274,25 +322,17 @@ def _undirected_boundary(edges, members):
             if (e.tail in members) != (e.head in members)]
 
 
-def _local_undirected(vertices, uedges, queue, k, gamma, rng, classes):
-    """Local peeling of one connected undirected piece via certificates.
-
-    Detection starts from the vertices of `queue` and from the endpoints
-    of edges that later carves remove."""
+def _carve_undirected(vertices, uedges, cert, queue, k, kd, delta, rng,
+                      classes):
+    """Local phase on one connected undirected piece, detecting on its
+    certificate `cert`: carve off what the detector finds, appending its
+    classes; returns the live vertices and edges.  Detection starts from
+    the vertices of `queue` and from the endpoints of edges that later
+    carves remove."""
     n_max = max(vertices)
-    delta = k * gamma
-    k_eff = min(k, max(1, delta))
-    kd = k_eff - 1
     p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
-
     live = set(vertices)
     live_edges = uedges
-
-    if 2 * len(live_edges) <= detection_edge_bound(kd, delta):
-        classes.extend(_baseline(live, bidirect(live_edges), k))
-        return
-
-    cert = _forest_rounds(n_max, live_edges, k)
     removed_since = 0
     # the certificate graph changes only on a carve or a rebuild
     cg = None
@@ -305,7 +345,7 @@ def _local_undirected(vertices, uedges, queue, k, gamma, rng, classes):
         if s not in live:
             continue
         if removed_since > max(len(live), len(cert) // 2):
-            cert = _forest_rounds(n_max, live_edges, k)
+            cert = _forest_rounds(live_edges, k)
             removed_since = 0
             cg = None
         if cg is None:
@@ -338,25 +378,58 @@ def _local_undirected(vertices, uedges, queue, k, gamma, rng, classes):
             if v in live and v not in queued:
                 worklist.append(v)
                 queued.add(v)
-    # global phase on a fresh certificate of what remains; a piece's
-    # certificate is the whole one restricted to it, as forest rounds
-    # read only local degrees and never join two pieces
-    for comp, inner in _pieces(live, live_edges, undirected=True):
-        cut = _cut_below(comp, bidirect(_forest_rounds(n_max, inner, k)), k)
-        if cut is None:
-            classes.append(frozenset(comp))
+    return live, live_edges
+
+
+def _local_undirected(pieces, k, gamma, rng):
+    """Classes of connected undirected pieces, walked as in
+    `_local_directed`; a piece's cut search runs on the bidirected
+    certificate that its local phase detects on, which keeps every cut
+    of fewer than k edges whole."""
+    delta = k * gamma
+    kd = min(k, max(1, delta)) - 1
+    bound = detection_edge_bound(kd, delta)
+    classes = []
+    stack = [(comp, inner, comp) for comp, inner in pieces]
+    while stack:
+        vertices, uedges, queue = stack.pop()
+        if 2 * len(uedges) <= bound:
+            classes.extend(_baseline(vertices, bidirect(uedges), k))
             continue
-        cut_uids = {eid // 2 for eid in cut.cut_edges}
-        pieces = _pieces(comp, [e for e in inner if e.id not in cut_uids],
-                         undirected=True)
-        touched = _touched(inner, pieces)
-        for sub, sub_edges in pieces:
-            _local_undirected(sub, sub_edges, sub & touched, k, gamma, rng,
-                              classes)
+        cert = _forest_rounds(uedges, k)
+        cut = _cut_below(vertices, bidirect(cert), k)
+        if cut is None:
+            classes.append(frozenset(vertices))
+            continue
+        live, live_edges = _carve_undirected(vertices, uedges, cert, queue,
+                                             k, kd, delta, rng, classes)
+        if len(live) == len(vertices):
+            rest = [(vertices, uedges, cut)]
+        else:
+            rest = [(comp, inner,
+                     _cut_below(comp, bidirect(_forest_rounds(inner, k)), k))
+                    for comp, inner in _pieces(live, live_edges,
+                                               undirected=True)]
+        for comp, inner, cut in rest:
+            if cut is None:
+                classes.append(frozenset(comp))
+            else:
+                stack += _split(comp, inner,
+                                {eid // 2 for eid in cut.cut_edges},
+                                undirected=True)
+    return classes
 
 
 def mkecs_undirected(und, k, rng, gamma=None):
     """Undirected decomposition working on sparse certificates.
+
+    Each connected piece is first searched for a global cut below k on
+    its bidirected certificate, rooted at a vertex of minimum degree.
+    Only a piece with such a cut runs the local phase; a k-edge-connected
+    piece runs no detection.  Detection therefore runs no more often
+    than it would with no search first, and the global searches are one
+    per piece plus at most one for each piece whose local phase carves
+    something.
 
     gamma defaults to ceil(sqrt(n) / k); detection runs with edge budget
     k * gamma on the certificate of the current residual graph, and
@@ -370,11 +443,9 @@ def mkecs_undirected(und, k, rng, gamma=None):
         return Decomposition(k, [])
     if gamma is None:
         gamma = max(1, math.ceil(math.sqrt(und.n) / k))
-    classes = []
-    for comp, inner in _pieces(range(1, und.n + 1), und.edges,
-                               undirected=True):
-        _local_undirected(comp, inner, comp, k, gamma, rng, classes)
-    return Decomposition(k, classes)
+    return Decomposition(k, _local_undirected(
+        _pieces(range(1, und.n + 1), und.edges, undirected=True),
+        k, gamma, rng))
 
 
 def baseline_mkecs_undirected(und, k):

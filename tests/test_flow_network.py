@@ -161,3 +161,19 @@ def multigraph_queries(draw):
 def test_reused_network_property(case):
     g, qs = case
     check_queries(g, qs + qs[::-1])
+
+
+def test_network_over_a_piece_answers_as_the_full_size_one():
+    rng = random.Random(1)
+    for _ in range(20):
+        n = rng.randint(2, 10)
+        g = random_multigraph(rng, n)
+        piece = sorted(rng.sample(range(1, n + 1), rng.randint(2, n)))
+        inside = set(piece)
+        edges = [e for e in g.edges if e.tail in inside and e.head in inside]
+        net = flow.edge_flow_network(n, edges, piece)
+        assert len(net.arcs) == len(piece)
+        for s, t in itertools.permutations(piece, 2):
+            for k in (1, 2, 3):
+                assert (flow.st_edge_cut_below(n, edges, s, t, k, net)
+                        == flow.st_edge_cut_below(n, edges, s, t, k))
