@@ -10,12 +10,23 @@ over k finds the exact connectivity value of directed and undirected
 inputs alike; undirected ones are first sparsified with a
 scan-first-forest certificate.
 
+A probe stops as soon as its own work decides the threshold.  The pair
+flows are exact, so once they have covered every ordered pair of
+distinct vertices at k without a cut, kappa >= k is proven and the
+sweep does not run.  The sweep detects each (vertex, orientation) once
+per probe: the detector's guarantee is monotone in the budget, so a
+failure at budget b answers every smaller budget, and only a success
+that had to be discarded is retried, at smaller budgets.
+
 The search has one failure budget.  It probes each threshold once, at
 most P = 2 ceil(log2 n) probes, and each probe samples at constant
 c + log_n P, so a union bound over the probes gives: the returned kappa
 is wrong with probability at most n^-c + P * n^-3, the second term for
-the sweep's detections, each amplified to 1 - n^-3.  A returned cut is
-always a valid witness.
+the sweep's detections, each amplified to 1 - n^-3.  Neither stopping
+rule adds to it: a probe decided by its flows cannot err, and a small
+side whose first hit vertex is skipped had that vertex fail one
+amplified detection at a budget where the side qualified.  A returned
+cut is always a valid witness.
 """
 
 import dataclasses
@@ -70,27 +81,37 @@ class PairCuts:
 
     Holds the vertex-split network of the graph last asked about, built
     when first needed, and a memo of its answers keyed by (s, t, limit),
-    so a pair already answered in the call is never flowed again.
+    so a pair already answered in the call is never flowed again.  It
+    also counts, per limit, the ordered pairs answered with no cut.
     """
 
-    __slots__ = ("g", "net", "memo")
+    __slots__ = ("g", "net", "memo", "uncut")
 
     def __init__(self):
         self.g = None
 
     def cut(self, g, s, t, k):
         if g is not self.g:
-            self.g, self.net, self.memo = g, flow.vertex_split_network(g), {}
+            self.g, self.net = g, flow.vertex_split_network(g)
+            self.memo, self.uncut = {}, {}
         key = (s, t, k)
         if key in self.memo:
             return self.memo[key]
         res = flow.st_vertex_cut_at_most(g, s, t, k, self.net)
-        if res is not None:
+        if res is None:
+            self.uncut[k] = self.uncut.get(k, 0) + 1
+        else:
             left, middle, right = res
             res = VertexCut(frozenset(left), frozenset(middle),
                             frozenset(right))
         self.memo[key] = res
         return res
+
+    def proves_at_least(self, g, k):
+        """True when every ordered pair of distinct vertices of g has been
+        flowed at limit k with no cut: then kappa(g) >= k for k <= n - 1."""
+        n = g.n
+        return g is self.g and self.uncut.get(k, 0) == n * (n - 1)
 
 
 def pair_vertex_cut_at_most(g, s, t, k):
@@ -112,14 +133,13 @@ def detection_volume_bound(k, delta):
 
 
 def max_feasible_delta(k, m):
-    """Largest delta with detection_volume_bound(k-1, delta) + k^2 < m."""
-    kd = k - 1
-    delta = 1
-    while detection_volume_bound(kd, delta + 1) + k * k < m:
-        delta += 1
-    if detection_volume_bound(kd, delta) + k * k >= m:
-        return 0
-    return delta
+    """Largest delta with detection_volume_bound(k-1, delta) + k^2 < m,
+    or 0 when delta = 1 fails.
+
+    The bound is 2k(3 delta + k - 1), so the condition reads
+    3 delta + k - 1 <= (m - k^2 - 1) // 2k.
+    """
+    return max(0, ((m - k * k - 1) // (2 * k) - (k - 1)) // 3)
 
 
 def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
@@ -131,6 +151,11 @@ def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
     four endpoint combinations get a capped flow run.  Results are
     memoized in `pairs` (the flow is deterministic), the PairCuts of the
     enclosing vertex_connectivity_* call, or a fresh one when omitted.
+
+    Drawing stops early once every ordered pair of distinct vertices has
+    been flowed at k with no cut, since every further draw would hit the
+    memo; `pairs.proves_at_least(g, k)` then reports that the flows
+    alone have proven kappa >= k.  Returns a cut or None.
     """
     n, m = g.n, g.m
     if m == 0 or n < 2:
@@ -147,6 +172,8 @@ def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
                 cut = pairs.cut(g, a, b, k)
                 if cut is not None:
                     return cut
+        if pairs.proves_at_least(g, k):
+            break
     return None
 
 
@@ -157,8 +184,15 @@ def local_sweep_step(g, k, delta_star, c, rng):
     endpoints to hit any component of symmetric volume above the next
     (halved) budget.  Detection runs in both edge orientations at
     success level 1 - 1/n^3; results with symmetric volume at least
-    m - k^2 cannot be a proper side and are discarded.  Detection
-    outcomes are memoized per (vertex, budget, orientation).
+    m - k^2, with nothing left outside, or that fail to validate cannot
+    be a proper side and are discarded.
+
+    Each (vertex, orientation) keeps its last detection.  The detector's
+    guarantee is monotone in the budget, so a failure at budget b
+    answers every budget up to b and the key is never detected again; a
+    discarded success answers its own budget and is retried only at
+    smaller ones.  On a graph with no small side the sweep therefore
+    makes at most 2n detections.
     """
     n, m = g.n, g.m
     if m == 0 or n < 2:
@@ -166,7 +200,7 @@ def local_sweep_step(g, k, delta_star, c, rng):
     grev = reverse_graph(g)
     p = 1.0 - 1.0 / n ** 3
     kd = k - 1
-    seen = {}
+    last = {}           # (vertex, orientation) -> (budget, result)
     level = 0
     while True:
         budget = delta_star >> level
@@ -178,13 +212,13 @@ def local_sweep_step(g, k, delta_star, c, rng):
             e = rng.randrange(m)
             for s in (g.tail(e), g.head(e)):
                 for orient, gg in (("out", g), ("in", grev)):
-                    key = (s, budget, orient)
-                    if key in seen:
-                        res = seen[key]
-                    else:
-                        res = vertex_cut.detect_vertex_out_component(
-                            gg, s, kd, budget, p, rng, symmetric=True)
-                        seen[key] = res
+                    key = (s, orient)
+                    prev = last.get(key)
+                    if prev is not None and (prev[0] == budget or not prev[1]):
+                        continue
+                    res = vertex_cut.detect_vertex_out_component(
+                        gg, s, kd, budget, p, rng, symmetric=True)
+                    last[key] = (budget, res)
                     if not res:
                         continue
                     if res.symmetric_volume >= m - k * k:
@@ -211,6 +245,11 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     Requires k <= sqrt(m)/2 for the sampling machinery; above that, and
     on graphs too small for any useful budget, an exact fallback runs.
     `pairs` carries one PairCuts across the probes of a search.
+
+    In sampled mode the pair flows run first.  When they have covered
+    every ordered pair at k without a cut, kappa >= k is certain and the
+    sweep is skipped; otherwise the sweep runs, and a miss has
+    probability at most n^-c + n^-3.
     """
     n, m = g.n, g.m
     stats = {"mode": None}
@@ -236,8 +275,9 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
         return ConnectivityVerdict("probably_at_least_k", k, None, stats)
     stats["mode"] = "sampled"
     stats["delta_star"] = delta_star
+    pairs = pairs or PairCuts()
     cut = sample_pair_step(g, k, delta_star, c, rng, pairs)
-    if cut is None:
+    if cut is None and not pairs.proves_at_least(g, k):
         cut = local_sweep_step(g, k, delta_star, c, rng)
     if cut is not None:
         assert cut.size < k and cut.validate(g)
