@@ -91,6 +91,15 @@ def cmd_vertex_connectivity(args):
 
 
 def cmd_mkecs(args):
+    # each budget belongs to one local driver; any other use would be
+    # silently ignored
+    for flag, value, undirected in (("--delta", args.delta, False),
+                                    ("--gamma", args.gamma, True)):
+        if value is not None and (args.baseline
+                                  or args.undirected != undirected):
+            args.parser.error("%s applies only to the local %s driver"
+                              % (flag, "undirected" if undirected
+                                 else "directed"))
     rng = random.Random(args.seed)
     if args.undirected:
         und = _read_undirected(args.graph)
@@ -220,7 +229,7 @@ def build_parser():
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--gamma", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_mkecs)
+    p.set_defaults(func=cmd_mkecs, parser=p)
 
     p = sub.add_parser("test-connectivity",
                        help="one-sided connectivity property tester")

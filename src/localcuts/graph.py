@@ -165,15 +165,6 @@ class UndirectedGraph:
         """(tail, head) of every edge, in id order."""
         return ((e.tail, e.head) for e in self.edges)
 
-    def degree(self, v):
-        d = 0
-        for e in self.edges:
-            if e.tail == v:
-                d += 1
-            if e.head == v:
-                d += 1
-        return d
-
     def to_directed(self):
         """The antiparallel encoding of `bidirect`, as a Graph."""
         return Graph(self.n,

@@ -28,6 +28,14 @@ Parotsidis (SODA 2017).  A piece that becomes small after a cut must
 hold the tail of a removed edge, or both ends of one, since only removed
 edges lower its out-degree.  The global phase decides exactly, so no
 class depends on which vertices are queued.
+
+One local driver serves both kinds of graph.  An undirected graph
+enters as its antiparallel pairs (`bidirect`: edge i becomes arcs 2i and
+2i + 1), so its pieces, splits and carves are those of a directed graph.
+Only what the detector and the cut search read differs: an undirected
+piece is read through its bidirected certificate of k forests, forward
+only, and the certificate is rebuilt from the live edges when stale.
+Every candidate is checked on the live edges before it is carved.
 """
 
 import dataclasses
@@ -54,6 +62,8 @@ class Decomposition:
         return sorted((tuple(sorted(c)) for c in self.classes))
 
     def __eq__(self, other):
+        if not isinstance(other, Decomposition):
+            return NotImplemented
         return self.k == other.k and self.as_sorted() == other.as_sorted()
 
 
@@ -90,11 +100,11 @@ def global_edge_cut_below(g, k):
     return _cut_below(set(g.vertices()), g.edges, k)
 
 
-def _pieces(vertices, edges, undirected=False):
+def _pieces(vertices, edges):
     """Components of the edge list on `vertices`, as in `components`,
     each paired with its internal edges in edge-list order; self-loops
     are dropped.  One pass over the edges serves every component."""
-    comps = components(vertices, edges, undirected)
+    comps = components(vertices, edges)
     where = {}
     for i, comp in enumerate(comps):
         for v in comp:
@@ -137,73 +147,107 @@ def detection_edge_bound(k, delta):
     return max(2 * k * (delta + k), delta)
 
 
-def _split(comp, inner, removed, undirected=False):
+def _split(comp, inner, removed):
     """Pieces of (comp, inner) once the edges with ids in `removed` are
     gone, each as (vertices, edges, queue): its queue holds its endpoints
     of the edges no piece kept, where a new small component must touch."""
-    pieces = _pieces(comp, [e for e in inner if e.id not in removed],
-                     undirected)
+    pieces = _pieces(comp, [e for e in inner if e.id not in removed])
     kept = {e.id for _, sub_edges in pieces for e in sub_edges}
     touched = {v for e in inner if e.id not in kept for v in (e.tail, e.head)}
     return [(sub, sub_edges, sub & touched) for sub, sub_edges in pieces]
 
 
-def _carve_directed(vertices, edges, queue, k, kd, delta, rng, classes):
-    """Local phase on one strongly connected piece: carve off what the
-    detector finds, appending its classes; returns the live vertices and
-    edges.  Detection starts from the vertices of `queue` and from the
-    endpoints of edges that later carves remove."""
+def _certificate(arcs, k):
+    """Bidirected `_forest_rounds` certificate of a piece of antiparallel
+    pairs, each pair adjacent in `arcs`: the pairs whose first arc the
+    forests keep, in the forests' order."""
+    back = {e.id: b for e, b in zip(arcs[::2], arcs[1::2])}
+    return [a for e in _forest_rounds(arcs[::2], k) for a in (e, back[e.id])]
+
+
+def _carve(vertices, edges, cert, queue, k, kd, delta, rng, classes):
+    """Local phase on one piece: carve off what the detector finds,
+    appending its classes; returns the live vertices and edges.
+    Detection starts from the vertices of `queue` and from the endpoints
+    of edges that later carves remove.
+
+    A directed piece (`cert` None) is read on its live edges, forward
+    and then backward.  An undirected piece is read forward on `cert`,
+    its bidirected certificate, which is rebuilt from the live edges
+    once the removed edges outnumber both the live vertices and half the
+    certificate.  Between rebuilds the certificate may be stale, so every
+    candidate must have fewer than k leaving edges, in the orientation
+    it was found in, on the live edges before it is removed."""
     n_max = max(vertices)
     p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
     live = set(vertices)
-    live_edges = edges
+    removed = 0
     worklist = deque(sorted(queue))
     queued = set(worklist)
-    # the detection graphs change only when a component is carved off
+    # the detection graphs change only on a carve or a rebuild
     fwd = bwd = None
     while worklist:
         s = worklist.popleft()
         queued.discard(s)
         if s not in live:
             continue
+        # counted in arcs, two per undirected edge
+        if cert is not None and removed > max(2 * len(live), len(cert) // 2):
+            cert = _certificate(edges, k)
+            removed = 0
+            fwd = None
         if fwd is None:
-            fwd = Graph(n_max, [(e.tail, e.head) for e in live_edges])
+            fwd = Graph(n_max, [(e.tail, e.head)
+                                for e in (edges if cert is None else cert)])
         res = detect_component_param(fwd, s, kd, delta, p, rng)
-        members = set(res.members)
-        if not members:
+        forward = True
+        if not res and cert is None:
             if bwd is None:
                 bwd = reverse_graph(fwd)
             res = detect_component_param(bwd, s, kd, delta, p, rng)
-            members = set(res.members)
+            forward = False
+        members = set(res.members)
         if not members:
             continue
-        # carve the component off: crossing edges vanish, the piece is
-        # decomposed independently, the frontier is re-examined
+        # one pass splits the live edges: inside, outside and crossing
         inner = []
         rest = []
         frontier = set()
-        for e in live_edges:
+        leaving = 0
+        for e in edges:
             tin, hin = e.tail in members, e.head in members
             if tin and hin:
                 inner.append(e)
             elif not tin and not hin:
                 rest.append(e)
             else:
+                # a crossing edge leaves in the orientation of detection
+                leaving += tin == forward
                 frontier.add(e.head if tin else e.tail)
+        if leaving >= k:
+            continue
+        # the component is carved off: crossing edges vanish, it is
+        # decomposed on its own, and the frontier is re-examined
         classes.extend(_baseline(members, inner, k))
         live -= members
-        live_edges = rest
+        removed += len(edges) - len(rest)
+        edges = rest
+        if cert is not None:
+            cert = [e for e in cert
+                    if e.tail not in members and e.head not in members]
         fwd = bwd = None
-        for v in sorted(frontier & live):
+        for v in sorted(frontier):
             if v not in queued:
                 worklist.append(v)
                 queued.add(v)
-    return live, live_edges
+    return live, edges
 
 
-def _local_directed(pieces, k, delta, rng):
+def _local(pieces, k, delta, rng, undirected):
     """Classes of strongly connected pieces, walked on one explicit stack
-    of (vertices, edges, queue).
+    of (vertices, edges, queue).  An undirected piece holds antiparallel
+    pairs; its cut search and its detection read its bidirected
+    certificate, which keeps every cut of fewer than k edges whole.
 
     A piece too small for the detector's cap goes to the baseline.  Any
     other piece gets one global cut search first: with no cut below k it
@@ -212,6 +256,12 @@ def _local_directed(pieces, k, delta, rng):
     reusing the first search's cut when nothing was carved."""
     kd = min(k, max(1, delta)) - 1
     bound = detection_edge_bound(kd, delta)
+
+    def search(vertices, edges):
+        """A cut below k of the piece, or None, and its certificate."""
+        cert = _certificate(edges, k) if undirected else None
+        return _cut_below(vertices, edges if cert is None else cert, k), cert
+
     classes = []
     stack = [(comp, inner, comp) for comp, inner in pieces]
     while stack:
@@ -219,16 +269,16 @@ def _local_directed(pieces, k, delta, rng):
         if len(edges) <= bound:
             classes.extend(_baseline(vertices, edges, k))
             continue
-        cut = _cut_below(vertices, edges, k)
+        cut, cert = search(vertices, edges)
         if cut is None:
             classes.append(frozenset(vertices))
             continue
-        live, live_edges = _carve_directed(vertices, edges, queue, k, kd,
-                                           delta, rng, classes)
+        live, live_edges = _carve(vertices, edges, cert, queue, k, kd, delta,
+                                  rng, classes)
         if len(live) == len(vertices):
             rest = [(vertices, edges, cut)]
         else:
-            rest = [(comp, inner, _cut_below(comp, inner, k))
+            rest = [(comp, inner, search(comp, inner)[0])
                     for comp, inner in _pieces(live, live_edges)]
         for comp, inner, cut in rest:
             if cut is None:
@@ -241,12 +291,8 @@ def _local_directed(pieces, k, delta, rng):
 def mkecs_directed(g, k, rng, delta=None):
     """Decomposition driven by local detection; equals the baseline.
 
-    Each strongly connected piece is first searched for a global cut
-    below k, rooted at a vertex of minimum degree.  Only a piece with
-    such a cut runs the local phase; a k-edge-connected piece runs no
-    detection.  Detection therefore runs no more often than it would
-    with no search first, and the global searches are one per piece
-    plus at most one for each piece whose local phase carves something.
+    A piece runs detection only when a global cut search, rooted at a
+    vertex of minimum degree, finds a cut below k in it.
 
     delta defaults to ceil(sqrt(m / k)), balancing detection budgets
     against the number of global cut rounds.
@@ -259,8 +305,8 @@ def mkecs_directed(g, k, rng, delta=None):
         return Decomposition(k, [])
     if delta is None:
         delta = max(1, math.ceil(math.sqrt(max(1, g.m) / k)))
-    return Decomposition(k, _local_directed(
-        _pieces(set(g.vertices()), g.edges), k, delta, rng))
+    return Decomposition(k, _local(
+        _pieces(set(g.vertices()), g.edges), k, delta, rng, False))
 
 
 def _forest_rounds(edges, k):
@@ -317,119 +363,11 @@ def sparse_certificate(und, k):
     return UndirectedGraph(und.n, [(e.tail, e.head) for e in kept])
 
 
-def _undirected_boundary(edges, members):
-    return [e for e in edges
-            if (e.tail in members) != (e.head in members)]
-
-
-def _carve_undirected(vertices, uedges, cert, queue, k, kd, delta, rng,
-                      classes):
-    """Local phase on one connected undirected piece, detecting on its
-    certificate `cert`: carve off what the detector finds, appending its
-    classes; returns the live vertices and edges.  Detection starts from
-    the vertices of `queue` and from the endpoints of edges that later
-    carves remove."""
-    n_max = max(vertices)
-    p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
-    live = set(vertices)
-    live_edges = uedges
-    removed_since = 0
-    # the certificate graph changes only on a carve or a rebuild
-    cg = None
-
-    worklist = deque(sorted(queue))
-    queued = set(worklist)
-    while worklist:
-        s = worklist.popleft()
-        queued.discard(s)
-        if s not in live:
-            continue
-        if removed_since > max(len(live), len(cert) // 2):
-            cert = _forest_rounds(live_edges, k)
-            removed_since = 0
-            cg = None
-        if cg is None:
-            cg = UndirectedGraph(
-                n_max, [(e.tail, e.head) for e in cert]).to_directed()
-        res = detect_component_param(cg, s, kd, delta, p, rng)
-        members = set(res.members)
-        if not members:
-            continue
-        # the certificate may be stale between rebuilds, so candidate
-        # components are validated against the live graph before removal
-        boundary = _undirected_boundary(live_edges, members)
-        if len(boundary) > k - 1:
-            continue
-        boundary_ids = {e.id for e in boundary}
-        inner = [e for e in live_edges
-                 if e.tail in members and e.head in members]
-        classes.extend(_baseline(members, bidirect(inner), k))
-        live -= members
-        live_edges = [e for e in live_edges
-                      if e.id not in boundary_ids and
-                      e.tail not in members and e.head not in members]
-        cert = [e for e in cert
-                if e.id not in boundary_ids and
-                e.tail not in members and e.head not in members]
-        removed_since += len(boundary_ids) + len(inner)
-        cg = None
-        for e in boundary:
-            v = e.tail if e.tail in live else e.head
-            if v in live and v not in queued:
-                worklist.append(v)
-                queued.add(v)
-    return live, live_edges
-
-
-def _local_undirected(pieces, k, gamma, rng):
-    """Classes of connected undirected pieces, walked as in
-    `_local_directed`; a piece's cut search runs on the bidirected
-    certificate that its local phase detects on, which keeps every cut
-    of fewer than k edges whole."""
-    delta = k * gamma
-    kd = min(k, max(1, delta)) - 1
-    bound = detection_edge_bound(kd, delta)
-    classes = []
-    stack = [(comp, inner, comp) for comp, inner in pieces]
-    while stack:
-        vertices, uedges, queue = stack.pop()
-        if 2 * len(uedges) <= bound:
-            classes.extend(_baseline(vertices, bidirect(uedges), k))
-            continue
-        cert = _forest_rounds(uedges, k)
-        cut = _cut_below(vertices, bidirect(cert), k)
-        if cut is None:
-            classes.append(frozenset(vertices))
-            continue
-        live, live_edges = _carve_undirected(vertices, uedges, cert, queue,
-                                             k, kd, delta, rng, classes)
-        if len(live) == len(vertices):
-            rest = [(vertices, uedges, cut)]
-        else:
-            rest = [(comp, inner,
-                     _cut_below(comp, bidirect(_forest_rounds(inner, k)), k))
-                    for comp, inner in _pieces(live, live_edges,
-                                               undirected=True)]
-        for comp, inner, cut in rest:
-            if cut is None:
-                classes.append(frozenset(comp))
-            else:
-                stack += _split(comp, inner,
-                                {eid // 2 for eid in cut.cut_edges},
-                                undirected=True)
-    return classes
-
-
 def mkecs_undirected(und, k, rng, gamma=None):
     """Undirected decomposition working on sparse certificates.
 
-    Each connected piece is first searched for a global cut below k on
-    its bidirected certificate, rooted at a vertex of minimum degree.
-    Only a piece with such a cut runs the local phase; a k-edge-connected
-    piece runs no detection.  Detection therefore runs no more often
-    than it would with no search first, and the global searches are one
-    per piece plus at most one for each piece whose local phase carves
-    something.
+    A piece runs detection only when a global cut search on its
+    bidirected certificate finds a cut below k in it.
 
     gamma defaults to ceil(sqrt(n) / k); detection runs with edge budget
     k * gamma on the certificate of the current residual graph, and
@@ -443,9 +381,9 @@ def mkecs_undirected(und, k, rng, gamma=None):
         return Decomposition(k, [])
     if gamma is None:
         gamma = max(1, math.ceil(math.sqrt(und.n) / k))
-    return Decomposition(k, _local_undirected(
-        _pieces(range(1, und.n + 1), und.edges, undirected=True),
-        k, gamma, rng))
+    return Decomposition(k, _local(
+        _pieces(range(1, und.n + 1), bidirect(und.edges)),
+        k, k * gamma, rng, True))
 
 
 def baseline_mkecs_undirected(und, k):

@@ -34,3 +34,19 @@ def test_mkecs_negative_budget_exits_2(tmp_path, option):
     r = run_cli("mkecs", str(path), "--k", "2", *option)
     assert r.returncode == 2
     assert "must be non-negative" in r.stderr
+
+
+@pytest.mark.parametrize("option", [
+    ["--gamma", "1"],
+    ["--undirected", "--delta", "1"],
+    ["--baseline", "--delta", "1"],
+    ["--baseline", "--undirected", "--gamma", "1"],
+])
+def test_mkecs_budget_the_driver_would_ignore_exits_2(tmp_path, option):
+    path = tmp_path / "pair.txt"
+    path.write_text("2 2\n1 2\n2 1\n")
+    r = run_cli("mkecs", str(path), "--k", "1", *option)
+    assert r.returncode == 2
+    assert r.stderr.startswith("usage: ")
+    assert "applies only to the local" in r.stderr
+    assert r.stdout == ""

@@ -161,4 +161,3 @@ def test_undirected_antiparallel_encoding():
     assert g.m == 4
     assert (g.edge(0).tail, g.edge(0).head) == (1, 2)
     assert (g.edge(1).tail, g.edge(1).head) == (2, 1)
-    assert und.degree(2) == 2

@@ -139,3 +139,13 @@ def test_rejects_nonpositive_k():
         baseline_mkecs(g, 0)
     with pytest.raises(ValueError):
         mkecs_directed(g, 0, random.Random(0))
+
+
+def test_decomposition_compares_unequal_to_other_types():
+    dec = Decomposition(2, [frozenset({2, 1}), frozenset({3})])
+    assert dec == Decomposition(2, [frozenset({3}), frozenset({1, 2})])
+    assert dec != Decomposition(3, [frozenset({1, 2}), frozenset({3})])
+    assert not dec == None  # noqa: E711
+    assert dec != [(1, 2), (3,)]
+    assert dec in [None, dec]
+    assert None not in [dec]
