@@ -83,23 +83,43 @@ class PairCuts:
     when first needed, and a memo of its answers keyed by (s, t, limit),
     so a pair already answered in the call is never flowed again.  It
     also counts, per limit, the ordered pairs answered with no cut.
+
+    Each (vertex, limit) keeps a forward and a backward proven-reach set
+    (`flow.ProvenReach`), grown by every flow that finds no cut.  A pair
+    with t in the forward set of s, or s in the backward set of t, is
+    answered None without a flow, which is the flow's own answer, so
+    every answer equals `flow.st_vertex_cut_at_most` on g.
     """
 
-    __slots__ = ("g", "net", "memo", "uncut")
+    __slots__ = ("g", "net", "memo", "uncut", "reach")
 
     def __init__(self):
         self.g = None
 
+    def _reach(self, v, k, backward):
+        key = (v, k, backward)
+        if key not in self.reach:
+            self.reach[key] = flow.ProvenReach(self.net, v, k, backward,
+                                               split=True)
+        return self.reach[key]
+
     def cut(self, g, s, t, k):
         if g is not self.g:
             self.g, self.net = g, flow.vertex_split_network(g)
-            self.memo, self.uncut = {}, {}
+            self.memo, self.uncut, self.reach = {}, {}, {}
         key = (s, t, k)
         if key in self.memo:
             return self.memo[key]
-        res = flow.st_vertex_cut_at_most(g, s, t, k, self.net)
+        if s == t:
+            raise ValueError("endpoints must differ")
+        if t in self._reach(s, k, False) or s in self._reach(t, k, True):
+            res = None
+        else:
+            res = flow.st_vertex_cut_at_most(g, s, t, k, self.net)
         if res is None:
             self.uncut[k] = self.uncut.get(k, 0) + 1
+            self._reach(s, k, False).add(t)
+            self._reach(t, k, True).add(s)
         else:
             left, middle, right = res
             res = VertexCut(frozenset(left), frozenset(middle),
@@ -109,7 +129,7 @@ class PairCuts:
 
     def proves_at_least(self, g, k):
         """True when every ordered pair of distinct vertices of g has been
-        flowed at limit k with no cut: then kappa(g) >= k for k <= n - 1."""
+        answered at limit k with no cut: then kappa(g) >= k for k <= n - 1."""
         n = g.n
         return g is self.g and self.uncut.get(k, 0) == n * (n - 1)
 
@@ -300,6 +320,9 @@ def fallback_exact(g, pairs=None):
     n = g.n
     if n <= 1:
         return 0, None
+    # adjacent pairs are skipped here, not answered by `pairs`: every
+    # answer counts toward `pairs.proves_at_least`, so answering them
+    # would end a later pair step at the same limit after fewer draws
     adjacent = set(g.pairs())
     pairs = pairs or PairCuts()
     order = list(g.vertices())

@@ -4,12 +4,33 @@ A network is a flat residual structure built once per graph: arc a runs
 to `head[a]` with base capacity `cap[a]`, its partner `a ^ 1` is the
 reverse residual arc (base capacity 0), and `arcs[u]` lists the arcs
 leaving node u.  Every s-t query on the graph reuses it: the query
-copies the base capacities, runs at most `limit` shortest augmenting
-paths (Edmonds-Karp) and reads the side residual-reachable from s.
+copies the base capacities, runs at most `limit` augmentations and reads
+the side residual-reachable from s.  Each augmenting path is searched in
+stack order and the search stops once the sink is discovered, so a
+query costs at most `limit` searches of O(m) each.
 
 Below the limit the flow is a maximum flow, and the residual-reachable
 source side is the same for every maximum flow, so an answer depends
 only on (s, t, limit), never on earlier queries or on the paths taken.
+
+Most flows a caller runs only confirm that no cut below the limit
+exists, and the graph's neighbourhoods often imply that already.  A
+`ProvenReach` set for a root r, a limit k and one orientation holds
+vertices proven to have k disjoint paths from r (to r, backward), so
+the flow between r and a member is skipped: it would return None.  The
+root is a member; for edge cuts a vertex joins once it has k arcs from
+members, counted with multiplicity; for vertex cuts once it has k
+distinct member in-neighbours or an arc from r itself; and a flow that
+returns no cut adds its far end, from which the rule spreads.
+
+Proof, forward (backward is its mirror image): let C be fewer than k
+edges, or fewer than k vertices other than r and w, and let w join by
+the rule.  One of w's k arcs from members, or one of its k distinct
+member in-neighbours, is not in C; it comes from u, and C cannot cut a
+member u off from r, so w is reached from r without C as well.  An arc
+r -> w proves w for vertex cuts alone, since C may not hold r or w.
+Each vertex joins once and then scans its arcs in the set's orientation
+once, so a set costs O(m) over its life.
 """
 
 # Capacity of arcs that must never be cut.  One network serves queries
@@ -21,24 +42,27 @@ UNBOUNDED = float("inf")
 
 class Network:
     """Flat residual network over nodes 0..nodes-1, or over the node ids
-    of `nodes` when it is a collection rather than a count."""
+    of `nodes` when it is a collection rather than a count, with one arc
+    tails[i] -> heads[i] of capacity caps[i] for each i: arc 2i, whose
+    reverse is arc 2i + 1."""
 
     __slots__ = ("head", "cap", "arcs")
 
-    def __init__(self, nodes):
-        self.head = []
-        self.cap = []
+    def __init__(self, nodes, tails, heads, caps):
+        m2 = 2 * len(tails)
+        self.head = [0] * m2
+        self.head[::2] = heads
+        self.head[1::2] = tails
+        self.cap = [0] * m2
+        self.cap[::2] = caps
         if isinstance(nodes, int):
-            self.arcs = [[] for _ in range(nodes)]
+            arcs = [[] for _ in range(nodes)]
         else:
-            self.arcs = {u: [] for u in nodes}
-
-    def add(self, u, v, c):
-        a = len(self.head)
-        self.head += (v, u)
-        self.cap += (c, 0)
-        self.arcs[u].append(a)
-        self.arcs[v].append(a + 1)
+            arcs = {u: [] for u in nodes}
+        for i, (u, v) in enumerate(zip(tails, heads)):
+            arcs[u].append(2 * i)
+            arcs[v].append(2 * i + 1)
+        self.arcs = arcs
 
     def source_side(self, source, sink, limit):
         """Nodes residual-reachable from source after a maximum flow, or
@@ -50,14 +74,14 @@ class Network:
         flow = 0
         while True:
             via = {source: -1}      # node -> arc it was reached by
-            queue = [source]
-            for u in queue:
-                for a in arcs[u]:
+            stack = [source]
+            while stack:
+                for a in arcs[stack.pop()]:
                     if cap[a]:
                         v = head[a]
                         if v not in via:
                             via[v] = a
-                            queue.append(v)
+                            stack.append(v)
                 if sink in via:
                     break
             else:
@@ -73,6 +97,61 @@ class Network:
                 v = head[a ^ 1]
 
 
+class ProvenReach:
+    """Vertices proven to have `limit` disjoint paths from `root` in
+    `net`, or to it when `backward`, by the rule of the module
+    docstring: a capped flow between the root and a member at `limit`
+    would return no cut.  Edge-disjoint paths on an edge_flow_network;
+    with `split`, paths disjoint in their interior vertices on a
+    vertex_split_network.  `add(v)` records a vertex a flow proved."""
+
+    __slots__ = ("members", "net", "limit", "side", "split", "count")
+
+    def __init__(self, net, root, limit, backward=False, split=False):
+        self.net, self.limit, self.split = net, limit, split
+        self.side = 1 if backward else 0
+        self.members = {root}
+        self.count = {}
+        if split:
+            # an arc between the root and w leaves no vertex to cut
+            near = self._next(root) - self.members
+            self.members |= near
+            self._spread(list(near))
+        else:
+            self._spread([root])
+
+    def __contains__(self, v):
+        return v in self.members
+
+    def add(self, v):
+        if v not in self.members:
+            self.members.add(v)
+            self._spread([v])
+
+    def _next(self, u):
+        """Vertices one arc from u in the set's orientation: heads of
+        even arcs forward, tails through odd arcs backward."""
+        net, side = self.net, self.side
+        head = net.head
+        if self.split:
+            # forward from u's out-node, backward from its in-node
+            return {head[a] >> 1 for a in net.arcs[2 * u + 1 - side]
+                    if a & 1 == side}
+        return [head[a] for a in net.arcs[u] if a & 1 == side]
+
+    def _spread(self, stack):
+        members, count, limit = self.members, self.count, self.limit
+        while stack:
+            for w in self._next(stack.pop()):
+                if w not in members:
+                    c = count.get(w, 0) + 1
+                    if c >= limit:
+                        members.add(w)
+                        stack.append(w)
+                    else:
+                        count[w] = c
+
+
 def vertex_split_network(g):
     """Vertex-split network of g for every s-t vertex-cut query on it.
 
@@ -81,12 +160,12 @@ def vertex_split_network(g):
     arc 2u+1 -> 2v.  A query flows from 2s+1 to 2t, so no augmenting path
     crosses the transit arc of s or t and only interior vertices are cut.
     """
-    net = Network(2 * g.n + 2)
-    for v in g.vertices():
-        net.add(2 * v, 2 * v + 1, 1)
-    for t, h in g.pairs():
-        net.add(2 * t + 1, 2 * h, UNBOUNDED)
-    return net
+    vs = list(g.vertices())
+    pairs = list(g.pairs())
+    return Network(2 * g.n + 2,
+                   [2 * v for v in vs] + [2 * t + 1 for t, _ in pairs],
+                   [2 * v + 1 for v in vs] + [2 * h for _, h in pairs],
+                   [1] * len(vs) + [UNBOUNDED] * len(pairs))
 
 
 def st_vertex_cut_at_most(g, s, t, k, net=None):
@@ -115,10 +194,9 @@ def edge_flow_network(n, edges, vertices=None):
     Given `vertices`, a piece of a larger graph that holds every endpoint
     of `edges`, the network has a node for those vertices only, so its
     size does not depend on n."""
-    net = Network(n + 1 if vertices is None else vertices)
-    for e in edges:
-        net.add(e.tail, e.head, 1)
-    return net
+    return Network(n + 1 if vertices is None else vertices,
+                   [e.tail for e in edges], [e.head for e in edges],
+                   [1] * len(edges))
 
 
 def st_edge_cut_below(n, edges, s, t, k, net=None):

@@ -76,6 +76,9 @@ def _cut_below(vertices, edges, k):
     The root is a vertex of minimum degree (ties to the smallest id) and
     the other vertices follow in id order: a small side with fewer than
     k leaving edges has low degrees, so the first flows usually find it.
+    A flow is skipped when the root's proven-reach set in its direction
+    already holds the other end (`flow.ProvenReach`): it would find no
+    cut, so the first cut in this order is found all the same.
     """
     if len(vertices) <= 1:
         return None
@@ -84,14 +87,17 @@ def _cut_below(vertices, edges, k):
     net = flow.edge_flow_network(n_max, edges, ordered)
     # a node's arc list holds one arc per edge at it, in or out
     root = min(ordered, key=lambda v: len(net.arcs[v]))
+    fwd = flow.ProvenReach(net, root, k)
+    bwd = flow.ProvenReach(net, root, k, backward=True)
     for v in ordered:
-        if v == root:
-            continue
-        for s, t in ((root, v), (v, root)):
+        for s, t, proven in ((root, v, fwd), (v, root, bwd)):
+            if v in proven:
+                continue
             res = flow.st_edge_cut_below(n_max, edges, s, t, k, net)
             if res is not None:
                 side, cut = res
                 return EdgeCut(frozenset(side), tuple(cut))
+            proven.add(v)
     return None
 
 

@@ -115,11 +115,13 @@ def _exact_edge(g, s, k, net):
     """(yes, witness): is s in a proper (k-1)-edge-out component of g?
 
     True iff some other vertex is separated from s by fewer than k
-    edges; decided by capped flows from s on `net`, g's edge network.
-    Draws no randomness.
+    edges; decided by capped flows from s on `net`, g's edge network,
+    skipping those s's proven-reach set (`flow.ProvenReach`) already
+    answers.  Draws no randomness.
     """
+    proven = flow.ProvenReach(net, s, k)
     for t in g.vertices():
-        if t == s:
+        if t in proven:
             continue
         res = flow.st_edge_cut_below(g.n, g.edges, s, t, k, net)
         if res is not None:
@@ -127,27 +129,32 @@ def _exact_edge(g, s, k, net):
             return True, edge_cut.ComponentResult(
                 frozenset(side), tuple(cut),
                 edge_cut.internal_edge_count(g, side), g.m, 1, g.m)
+        proven.add(t)
     return False, None
 
 
 def _exact_vertex(g, s, k, net):
     """(yes, witness): does a set of fewer than k vertices separate some
     t not adjacent from s, with s on the near side?  Decided by capped
-    flows on `net`, g's vertex-split network.  Draws no randomness.
+    flows on `net`, g's vertex-split network, skipping those s's
+    proven-reach set (`flow.ProvenReach`) already answers: it holds
+    every t adjacent from s.  Draws no randomness.
     """
-    adjacent = set(g.pairs())
+    proven = flow.ProvenReach(net, s, k, split=True)
     for t in g.vertices():
-        if t == s or (s, t) in adjacent:
+        if t in proven:
             continue
         res = flow.st_vertex_cut_at_most(g, s, t, k, net)
-        if res is not None:
-            left, middle, right = res
-            if s not in left or not right:
-                continue
-            return True, vertex_cut.VertexComponentResult(
-                frozenset(left), frozenset(middle),
-                vertex_cut.volume(g, left),
-                vertex_cut.symmetric_volume(g, left), g.m, 1, g.m)
+        if res is None:
+            proven.add(t)
+            continue
+        left, middle, right = res
+        if s not in left or not right:
+            continue
+        return True, vertex_cut.VertexComponentResult(
+            frozenset(left), frozenset(middle),
+            vertex_cut.volume(g, left),
+            vertex_cut.symmetric_volume(g, left), g.m, 1, g.m)
     return False, None
 
 
