@@ -11,12 +11,14 @@ inputs alike; undirected ones are first sparsified with a
 scan-first-forest certificate.
 
 A probe stops as soon as its own work decides the threshold.  The pair
-flows are exact, so once they have covered every ordered pair of
-distinct vertices at k without a cut, kappa >= k is proven and the
-sweep does not run.  The sweep detects each (vertex, orientation) once
-per probe: the detector's guarantee is monotone in the budget, so a
-failure at budget b answers every smaller budget, and only a success
-that had to be discarded is retried, at smaller budgets.
+flows are exact, and each answer with no cut grows proven-reach sets.
+Once k <= n - 1 vertices have forward and backward sets at k holding
+every vertex, kappa >= k is proven by Even's argument: a separator
+below k misses one of them, and that vertex can be separated from no
+other.  The sweep then does not run.  The sweep detects each (vertex,
+orientation) once per probe: the detector's guarantee is monotone in
+the budget, so a failure at budget b answers every smaller budget, and
+only a success that had to be discarded is retried, at smaller budgets.
 
 The search has one failure budget.  It probes each threshold once, at
 most P = 2 ceil(log2 n) probes, and each probe samples at constant
@@ -81,17 +83,21 @@ class PairCuts:
 
     Holds the vertex-split network of the graph last asked about, built
     when first needed, and a memo of its answers keyed by (s, t, limit),
-    so a pair already answered in the call is never flowed again.  It
-    also counts, per limit, the ordered pairs answered with no cut.
+    so a pair already answered in the call is never flowed again.
 
     Each (vertex, limit) keeps a forward and a backward proven-reach set
     (`flow.ProvenReach`), grown by every flow that finds no cut.  A pair
     with t in the forward set of s, or s in the backward set of t, is
     answered None without a flow, which is the flow's own answer, so
     every answer equals `flow.st_vertex_cut_at_most` on g.
+
+    Per limit it also keeps the complete vertices: those whose forward
+    and backward sets both hold every vertex of g.  A set grows only in
+    a call that finds no cut, and there only the forward set of s and
+    the backward set of t, so only s and t are checked.
     """
 
-    __slots__ = ("g", "net", "memo", "uncut", "reach")
+    __slots__ = ("g", "net", "memo", "reach", "complete")
 
     def __init__(self):
         self.g = None
@@ -106,7 +112,7 @@ class PairCuts:
     def cut(self, g, s, t, k):
         if g is not self.g:
             self.g, self.net = g, flow.vertex_split_network(g)
-            self.memo, self.uncut, self.reach = {}, {}, {}
+            self.memo, self.reach, self.complete = {}, {}, {}
         key = (s, t, k)
         if key in self.memo:
             return self.memo[key]
@@ -117,9 +123,12 @@ class PairCuts:
         else:
             res = flow.st_vertex_cut_at_most(g, s, t, k, self.net)
         if res is None:
-            self.uncut[k] = self.uncut.get(k, 0) + 1
             self._reach(s, k, False).add(t)
             self._reach(t, k, True).add(s)
+            for v in (s, t):
+                sets = [self.reach.get((v, k, back)) for back in (False, True)]
+                if all(r is not None and len(r.members) == g.n for r in sets):
+                    self.complete.setdefault(k, set()).add(v)
         else:
             left, middle, right = res
             res = VertexCut(frozenset(left), frozenset(middle),
@@ -128,10 +137,19 @@ class PairCuts:
         return res
 
     def proves_at_least(self, g, k):
-        """True when every ordered pair of distinct vertices of g has been
-        answered at limit k with no cut: then kappa(g) >= k for k <= n - 1."""
-        n = g.n
-        return g is self.g and self.uncut.get(k, 0) == n * (n - 1)
+        """True when k <= n - 1 and at least k vertices of g are complete
+        at limit k: then kappa(g) >= k.
+
+        Even's argument (1975): a set C of fewer than k vertices misses
+        one of the k complete vertices, v.  If removing C left g not
+        strongly connected, some w outside C would not be reached from
+        v or would not reach v; but v's complete sets mean no fewer than
+        k vertices other than v and w separate them either way.  The
+        guard is needed because kappa is at most n - 1 by convention,
+        while a complete digraph has complete vertices at every limit.
+        """
+        return (g is self.g and k <= g.n - 1
+                and len(self.complete.get(k, ())) >= k)
 
 
 def pair_vertex_cut_at_most(g, s, t, k):
@@ -172,10 +190,10 @@ def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
     memoized in `pairs` (the flow is deterministic), the PairCuts of the
     enclosing vertex_connectivity_* call, or a fresh one when omitted.
 
-    Drawing stops early once every ordered pair of distinct vertices has
-    been flowed at k with no cut, since every further draw would hit the
-    memo; `pairs.proves_at_least(g, k)` then reports that the flows
-    alone have proven kappa >= k.  Returns a cut or None.
+    Drawing stops early once k vertices have forward and backward
+    proven-reach sets at k holding every vertex: by Even's argument
+    kappa >= k is then proven, and `pairs.proves_at_least(g, k)` reports
+    it.  Returns a cut or None.
     """
     n, m = g.n, g.m
     if m == 0 or n < 2:
@@ -266,10 +284,11 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     on graphs too small for any useful budget, an exact fallback runs.
     `pairs` carries one PairCuts across the probes of a search.
 
-    In sampled mode the pair flows run first.  When they have covered
-    every ordered pair at k without a cut, kappa >= k is certain and the
-    sweep is skipped; otherwise the sweep runs, and a miss has
-    probability at most n^-c + n^-3.
+    In sampled mode the pair flows run first.  When their answers leave
+    k vertices with complete proven-reach sets both ways at k
+    (`PairCuts.proves_at_least`), kappa >= k is certain and the sweep is
+    skipped; otherwise the sweep runs, and a miss has probability at
+    most n^-c + n^-3.
     """
     n, m = g.n, g.m
     stats = {"mode": None}
@@ -320,9 +339,9 @@ def fallback_exact(g, pairs=None):
     n = g.n
     if n <= 1:
         return 0, None
-    # adjacent pairs are skipped here, not answered by `pairs`: every
-    # answer counts toward `pairs.proves_at_least`, so answering them
-    # would end a later pair step at the same limit after fewer draws
+    # no flow can cut an adjacent pair, so skip it before `pairs`: on an
+    # all-adjacent graph such as K8 answering them there would build 2n
+    # proven-reach sets for pairs with nothing to decide
     adjacent = set(g.pairs())
     pairs = pairs or PairCuts()
     order = list(g.vertices())

@@ -40,7 +40,7 @@ Every candidate is checked on the live edges before it is carved.
 
 import dataclasses
 import math
-from collections import deque
+from collections import Counter, deque
 
 from . import flow
 from .edge_cut import detect_component_param
@@ -67,7 +67,12 @@ class Decomposition:
         return self.k == other.k and self.as_sorted() == other.as_sorted()
 
 
-def _cut_below(vertices, edges, k):
+def _balanced(edges):
+    """Every vertex has as many edges entering as leaving it."""
+    return Counter(e.tail for e in edges) == Counter(e.head for e in edges)
+
+
+def _cut_below(vertices, edges, k, balanced=False):
     """Directed cut (S, rest) with fewer than k edges, on a strongly
     connected piece, or None.  Max-flow from and to a fixed root decides
     the global minimum cut exactly; one network over the piece's own
@@ -79,6 +84,14 @@ def _cut_below(vertices, edges, k):
     A flow is skipped when the root's proven-reach set in its direction
     already holds the other end (`flow.ProvenReach`): it would find no
     cut, so the first cut in this order is found all the same.
+
+    The piece walks pass `balanced` from `_balanced(edges)`.  On a
+    balanced piece (every bidirected piece and undirected certificate)
+    each cut has as many edges entering as leaving, so lambda(r, v) =
+    lambda(v, r), and a member of either set is proven both ways.  So
+    only flows from the root run there, at most one per vertex, and the
+    first cut is unchanged: a cut from v to the root means one from the
+    root to v, which is flowed first.
     """
     if len(vertices) <= 1:
         return None
@@ -90,13 +103,14 @@ def _cut_below(vertices, edges, k):
     fwd = flow.ProvenReach(net, root, k)
     bwd = flow.ProvenReach(net, root, k, backward=True)
     for v in ordered:
-        for s, t, proven in ((root, v, fwd), (v, root, bwd)):
+        for s, t, proven, other in ((root, v, fwd, bwd), (v, root, bwd, fwd)):
             if v in proven:
                 continue
-            res = flow.st_edge_cut_below(n_max, edges, s, t, k, net)
-            if res is not None:
-                side, cut = res
-                return EdgeCut(frozenset(side), tuple(cut))
+            if not (balanced and v in other):
+                res = flow.st_edge_cut_below(n_max, edges, s, t, k, net)
+                if res is not None:
+                    side, cut = res
+                    return EdgeCut(frozenset(side), tuple(cut))
             proven.add(v)
     return None
 
@@ -129,7 +143,7 @@ def _baseline(vertices, edges, k):
     stack = [(set(vertices), edges)]
     while stack:
         for comp, inner in _pieces(*stack.pop()):
-            cut = _cut_below(comp, inner, k)
+            cut = _cut_below(comp, inner, k, _balanced(inner))
             if cut is None:
                 classes.append(frozenset(comp))
             else:
@@ -266,7 +280,8 @@ def _local(pieces, k, delta, rng, undirected):
     def search(vertices, edges):
         """A cut below k of the piece, or None, and its certificate."""
         cert = _certificate(edges, k) if undirected else None
-        return _cut_below(vertices, edges if cert is None else cert, k), cert
+        read = edges if cert is None else cert
+        return _cut_below(vertices, read, k, _balanced(read)), cert
 
     classes = []
     stack = [(comp, inner, comp) for comp, inner in pieces]

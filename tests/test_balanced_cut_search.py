@@ -1,0 +1,73 @@
+"""On a balanced piece the global cut search flows from the root only.
+
+Where every vertex has in-degree equal to its out-degree, every cut has
+as many edges entering as leaving, so lambda(r, v) = lambda(v, r) and
+the flow toward the root repeats the answer of the flow from it.
+"""
+
+import random
+
+from localcuts import flow, mkecs
+from localcuts.graph import Graph
+
+from test_proven_reach import random_piece, unpruned_cut_below
+
+
+def bidirected_piece(rng):
+    """A piece of `random_piece` with every edge as a pair of opposite
+    arcs."""
+    vertices, edges = random_piece(rng)
+    pairs = [(e.tail, e.head) for e in edges]
+    return vertices, Graph(max(vertices),
+                           pairs + [(b, a) for a, b in pairs]).edges
+
+
+def counting_flows(monkeypatch):
+    calls = []
+    inner = flow.st_edge_cut_below
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return inner(*args)
+
+    monkeypatch.setattr(flow, "st_edge_cut_below", counted)
+    return calls
+
+
+def test_balanced_search_equals_the_unpruned_loop(monkeypatch):
+    rng = random.Random(21)
+    calls = counting_flows(monkeypatch)
+    found = none = 0
+    for _ in range(300):
+        vertices, edges = bidirected_piece(rng)
+        assert mkecs._balanced(edges)
+        for k in (1, 2, 3, 4, 5):
+            want = unpruned_cut_below(vertices, edges, k)
+            calls.clear()
+            assert mkecs._cut_below(vertices, edges, k, balanced=True) == want
+            if want is None:
+                none += 1
+                assert len(calls) <= len(vertices) - 1
+            else:
+                found += 1
+            root = calls[0][0] if calls else None
+            assert all(s == root for s, _ in calls)
+    assert found > 100 and none > 100
+
+
+def test_balance_is_read_from_degrees():
+    assert not mkecs._balanced(Graph(3, [(1, 2), (2, 3), (3, 1),
+                                         (1, 3)]).edges)
+    # balanced but not bidirected: arcs 1 -> 2 and 2 -> 3 have no reverse
+    assert mkecs._balanced(Graph(3, [(1, 2), (2, 3), (3, 1),
+                                     (1, 3), (3, 1)]).edges)
+
+
+def test_baseline_pieces_of_bidirected_k6_flow_from_the_root_only(
+        monkeypatch):
+    g = Graph(6, [(a, b) for a in range(1, 7) for b in range(1, 7) if a != b])
+    calls = counting_flows(monkeypatch)
+    assert mkecs.baseline_mkecs(g, 3).classes == [frozenset(range(1, 7))]
+    # after the flows to 2 and 3 every vertex has 3 arcs from (and to)
+    # members of the root's sets
+    assert calls == [(1, 2), (1, 3)]
