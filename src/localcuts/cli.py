@@ -55,7 +55,7 @@ def cmd_detect_edge(args):
     g = _read_graph(args.graph)
     rng = random.Random(args.seed)
     res = edge_cut.detect_component_param(g, args.start, args.k, args.delta,
-                                          args.p, rng, seed=args.seed,
+                                          args.p, rng,
                                           worst_case=args.worst_case)
     _emit({"found": bool(res), "members": sorted(res.members),
            "out_edges": sorted(res.out_edges), "edge_size": res.edge_size,
@@ -68,7 +68,7 @@ def cmd_detect_vertex(args):
     rng = random.Random(args.seed)
     res = vertex_cut.detect_vertex_out_component(
         g, args.start, args.k, args.delta, args.p, rng,
-        symmetric=args.symmetric, seed=args.seed)
+        symmetric=args.symmetric)
     _emit({"found": bool(res), "members": sorted(res.members),
            "boundary": sorted(res.boundary), "volume": res.volume,
            "symmetric_volume": res.symmetric_volume,

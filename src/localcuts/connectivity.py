@@ -313,7 +313,6 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
             return ConnectivityVerdict("cut_found", k, cut, stats)
         return ConnectivityVerdict("probably_at_least_k", k, None, stats)
     stats["mode"] = "sampled"
-    stats["delta_star"] = delta_star
     pairs = pairs or PairCuts()
     cut = sample_pair_step(g, k, delta_star, c, rng, pairs)
     if cut is None and not pairs.proves_at_least(g, k):
@@ -364,15 +363,16 @@ def fallback_exact(g, pairs=None):
 
 
 def _kappa_search(n, graph_at, rng, c):
-    """Doubling search for an upper bracket, then bisection.
+    """Doubling search for an upper bracket, then bisection, in one loop.
 
-    `graph_at(k)` is the graph that decides threshold k; the bisection
-    probes the graph of the doubling step that found a cut.  Each
-    threshold is probed once: the doubling reaches n - 1 within
-    ceil(log2 n) probes and the bisection halves [lo, hi] per probe, so
-    there are at most P = 2 ceil(log2 n).  Every probe samples at
-    constant c + log_n P, so by the union bound over the probes the
-    search's sampling misses anything with probability at most n^-c.
+    `graph_at(k)` is the graph that decides threshold k; the thresholds
+    double until a probe finds a cut, and the bisection then probes the
+    graph of that probe.  Each threshold is probed once: the doubling
+    reaches n - 1 within ceil(log2 n) probes and the bisection halves
+    [lo, hi] per probe, so there are at most P = 2 ceil(log2 n).  Every
+    probe samples at constant c + log_n P, so by the union bound over the
+    probes the search's sampling misses anything with probability at
+    most n^-c.
     Returns (kappa, cut) with cut None iff no probe found one, i.e.
     kappa = n - 1.
     """
@@ -382,17 +382,8 @@ def _kappa_search(n, graph_at, rng, c):
     pairs = PairCuts()
     k = 2
     while lo < hi:
-        g = graph_at(k)
-        verdict = is_connectivity_at_least(g, k, rng, c_probe, pairs)
-        if verdict.found:
-            best_cut = verdict.cut
-            hi = best_cut.size
-            lo = min(lo, hi)
-            break
-        lo = k
-        k = min(2 * k, n - 1)
-    while lo < hi:
-        k = (lo + hi) // 2 + 1
+        if best_cut is None:
+            g = graph_at(k)
         verdict = is_connectivity_at_least(g, k, rng, c_probe, pairs)
         if verdict.found:
             best_cut = verdict.cut
@@ -400,6 +391,7 @@ def _kappa_search(n, graph_at, rng, c):
             lo = min(lo, hi)
         else:
             lo = k
+        k = min(2 * k, n - 1) if best_cut is None else (lo + hi) // 2 + 1
     return lo, best_cut
 
 

@@ -34,7 +34,6 @@ class ComponentResult:
     queries_used: int
     trials_used: int
     edges_processed: int
-    seed: object = None
 
     def __bool__(self):
         return bool(self.members)
@@ -52,9 +51,8 @@ def budgeted_dfs(view, s, budget, interior_partner=None):
 
     With `interior_partner`, visiting a vertex w also scans the in-edges
     of interior_partner(w) (once), appending them to the processed list
-    under the same budget.  This is the volume accounting used on split
-    graphs; for a plain graph the identity partner yields symmetric
-    volume.
+    under the same budget.  This is the volume accounting of symmetric
+    mode, which walks a SplitGraph and passes its `interior_partner`.
 
     Each scan reads the vertex's incidence list of `view.base` once and
     charges `view.query_count` as the probes of CountedView would: a
@@ -139,14 +137,17 @@ def _sample_path(overlay, s, res, rng):
     return _tree_path(res.tree_parent, s, end)
 
 
-def _run_detection(base, s, k, round_budget, final_budget, final_accept, rng,
-                   interior_partner=None, processed_cap=None):
-    """Shared detection core; returns (members or None, queries, processed)."""
+def _run_detection(base, s, k, delta, rng, interior_partner=None,
+                   processed_cap=None):
+    """Shared detection core: k rounds of `round_budget(k, delta)` edges,
+    then a final pass that accepts at most delta; returns (members or
+    None, queries, processed)."""
     overlay = Overlay(base)
     view = CountedView(overlay)
     total = 0
+    budget = round_budget(k, delta)
     for _ in range(k):
-        res = budgeted_dfs(view, s, round_budget,
+        res = budgeted_dfs(view, s, budget,
                            interior_partner=interior_partner)
         total += len(res.processed)
         if res.completed:
@@ -155,10 +156,10 @@ def _run_detection(base, s, k, round_budget, final_budget, final_accept, rng,
             return None, view.query_count, total
         path = _sample_path(overlay, s, res, rng)
         overlay.apply_path_reversal(path)
-    res = budgeted_dfs(view, s, final_budget,
+    res = budgeted_dfs(view, s, delta + 1,
                        interior_partner=interior_partner)
     total += len(res.processed)
-    if len(res.processed) <= final_accept:
+    if len(res.processed) <= delta:
         return res.visited, view.query_count, total
     return None, view.query_count, total
 
@@ -189,7 +190,18 @@ def verify_k_edge_out(g, members, k):
     return len(out_edge_ids(g, members)) <= k
 
 
-def detect_component(g, s, k, delta, rng, seed=None, processed_cap=None):
+def round_budget(k, delta):
+    """Edge budget of each of the detector's k reversal rounds."""
+    return 2 * k * (delta + k)
+
+
+def trial_edge_bound(k, delta):
+    """Edges one detection trial processes at most: k rounds and the
+    final pass of budget delta + 1."""
+    return k * round_budget(k, delta) + delta + 1
+
+
+def detect_component(g, s, k, delta, rng, processed_cap=None):
     """One detection attempt for a k-edge-out component containing s.
 
     A nonempty result is always a minimal component with at most k
@@ -201,16 +213,14 @@ def detect_component(g, s, k, delta, rng, seed=None, processed_cap=None):
         raise ValueError("unknown start vertex %d" % s)
     if k < 0 or delta < 0:
         raise ValueError("k and delta must be non-negative")
-    round_budget = 2 * k * (delta + k)
-    members, queries, total = _run_detection(
-        g, s, k, round_budget, delta + 1, delta, rng,
-        processed_cap=processed_cap)
+    members, queries, total = _run_detection(g, s, k, delta, rng,
+                                             processed_cap=processed_cap)
     if members is None:
-        return ComponentResult(frozenset(), (), 0, queries, 1, total, seed)
+        return ComponentResult(frozenset(), (), 0, queries, 1, total)
     return ComponentResult(frozenset(members),
                            tuple(out_edge_ids(g, members)),
                            internal_edge_count(g, members),
-                           queries, 1, total, seed)
+                           queries, 1, total)
 
 
 def repetitions_for(p, ratio=2.0):
@@ -220,8 +230,7 @@ def repetitions_for(p, ratio=2.0):
     return max(1, math.ceil(math.log(1.0 / (1.0 - p), ratio)))
 
 
-def detect_component_param(g, s, k, delta, p, rng, seed=None,
-                           worst_case=False):
+def detect_component_param(g, s, k, delta, p, rng, worst_case=False):
     """Amplified detection with target success probability p.
 
     Repeats detect_component until a nonempty result or the repetition
@@ -230,18 +239,16 @@ def detect_component_param(g, s, k, delta, p, rng, seed=None,
     repetition count grows accordingly (per-trial success drops from
     1/2 to 1/4).
     """
-    expected = 2 * k * k * (delta + k) + delta + 1
-    cap = 4 * expected if worst_case else None
+    cap = 4 * trial_edge_bound(k, delta) if worst_case else None
     reps = repetitions_for(p, ratio=4.0 / 3.0 if worst_case else 2.0)
     queries = 0
     processed = 0
     for t in range(1, reps + 1):
-        res = detect_component(g, s, k, delta, rng, seed=seed,
-                               processed_cap=cap)
+        res = detect_component(g, s, k, delta, rng, processed_cap=cap)
         queries += res.queries_used
         processed += res.edges_processed
         if res:
             return dataclasses.replace(res, queries_used=queries,
                                        trials_used=t,
                                        edges_processed=processed)
-    return ComponentResult(frozenset(), (), 0, queries, reps, processed, seed)
+    return ComponentResult(frozenset(), (), 0, queries, reps, processed)

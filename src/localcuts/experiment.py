@@ -64,7 +64,7 @@ def run_experiment(config):
         g, _cert = generate(spec)
         if kind == "detect_edge":
             res = edge_cut.detect_component(
-                g, start, int(task["k"]), int(task["delta"]), rng, seed=i)
+                g, start, int(task["k"]), int(task["delta"]), rng)
             found = bool(res)
             rec = {"trial": i, "found": found,
                    "members": len(res.members),
@@ -75,7 +75,7 @@ def run_experiment(config):
             res = vertex_cut.detect_vertex_out_component(
                 g, start, int(task["k"]), int(task["delta"]),
                 float(task.get("p", 0.5)), rng,
-                symmetric=bool(task.get("symmetric", False)), seed=i)
+                symmetric=bool(task.get("symmetric", False)))
             found = bool(res)
             rec = {"trial": i, "found": found,
                    "members": len(res.members),
@@ -90,12 +90,10 @@ def run_experiment(config):
     k = int(task["k"])
     delta = int(task["delta"])
     if kind == "detect_edge":
-        bound = 2 * k * k * (delta + k) + delta + 1
+        bound = edge_cut.trial_edge_bound(k, delta)
     else:
-        dv = 3 * delta
-        per_trial = 2 * k * k * (dv + k) + dv + 1
-        bound = per_trial * edge_cut.repetitions_for(
-            float(task.get("p", 0.5)))
+        bound = edge_cut.trial_edge_bound(k, 3 * delta) \
+            * edge_cut.repetitions_for(float(task.get("p", 0.5)))
     lo, hi = wilson_interval(successes, trials)
     report = {
         "config": config,

@@ -339,30 +339,25 @@ class CountedView:
         self.base = base
         self.query_count = 0
 
-    def query_out_edge(self, u, i):
-        """Return the i-th (1-based) out-edge of u, or None when absent."""
+    def _probe(self, incidence, u, i):
         if not self.base.has_vertex(u):
             raise GraphError("unknown vertex %r" % (u,))
         if i < 1:
             raise GraphError("incidence index must be positive")
         self.query_count += 1
-        ids = self.base.out_ids(u)
+        ids = incidence(u)
         if i > len(ids):
             return None
         eid = ids[i - 1]
         return Edge(eid, self.base.tail(eid), self.base.head(eid))
 
+    def query_out_edge(self, u, i):
+        """Return the i-th (1-based) out-edge of u, or None when absent."""
+        return self._probe(self.base.out_ids, u, i)
+
     def query_in_edge(self, u, i):
-        if not self.base.has_vertex(u):
-            raise GraphError("unknown vertex %r" % (u,))
-        if i < 1:
-            raise GraphError("incidence index must be positive")
-        self.query_count += 1
-        ids = self.base.in_ids(u)
-        if i > len(ids):
-            return None
-        eid = ids[i - 1]
-        return Edge(eid, self.base.tail(eid), self.base.head(eid))
+        """Return the i-th (1-based) in-edge of u, or None when absent."""
+        return self._probe(self.base.in_ids, u, i)
 
 
 def strongly_connected_components(vertices, succ):

@@ -43,7 +43,7 @@ import math
 from collections import Counter, deque
 
 from . import flow
-from .edge_cut import detect_component_param
+from .edge_cut import detect_component_param, round_budget
 from .graph import Graph, UndirectedGraph, bidirect, components, reverse_graph
 
 
@@ -72,7 +72,7 @@ def _balanced(edges):
     return Counter(e.tail for e in edges) == Counter(e.head for e in edges)
 
 
-def _cut_below(vertices, edges, k, balanced=False):
+def _cut_below(vertices, edges, k):
     """Directed cut (S, rest) with fewer than k edges, on a strongly
     connected piece, or None.  Max-flow from and to a fixed root decides
     the global minimum cut exactly; one network over the piece's own
@@ -85,16 +85,16 @@ def _cut_below(vertices, edges, k, balanced=False):
     already holds the other end (`flow.ProvenReach`): it would find no
     cut, so the first cut in this order is found all the same.
 
-    The piece walks pass `balanced` from `_balanced(edges)`.  On a
-    balanced piece (every bidirected piece and undirected certificate)
-    each cut has as many edges entering as leaving, so lambda(r, v) =
-    lambda(v, r), and a member of either set is proven both ways.  So
-    only flows from the root run there, at most one per vertex, and the
-    first cut is unchanged: a cut from v to the root means one from the
-    root to v, which is flowed first.
+    On a balanced piece (`_balanced(edges)`: every bidirected piece and
+    undirected certificate) each cut has as many edges entering as
+    leaving, so lambda(r, v) = lambda(v, r), and a member of either set
+    is proven both ways.  So only flows from the root run there, at
+    most one per vertex, and the first cut is unchanged: a cut from v
+    to the root means one from the root to v, which is flowed first.
     """
     if len(vertices) <= 1:
         return None
+    balanced = _balanced(edges)
     ordered = sorted(vertices)
     n_max = ordered[-1]
     net = flow.edge_flow_network(n_max, edges, ordered)
@@ -143,7 +143,7 @@ def _baseline(vertices, edges, k):
     stack = [(set(vertices), edges)]
     while stack:
         for comp, inner in _pieces(*stack.pop()):
-            cut = _cut_below(comp, inner, k, _balanced(inner))
+            cut = _cut_below(comp, inner, k)
             if cut is None:
                 classes.append(frozenset(comp))
             else:
@@ -164,7 +164,7 @@ def baseline_mkecs(g, k):
 
 def detection_edge_bound(k, delta):
     """Edge-size cap of components the local detector can return."""
-    return max(2 * k * (delta + k), delta)
+    return max(round_budget(k, delta), delta)
 
 
 def _split(comp, inner, removed):
@@ -280,8 +280,7 @@ def _local(pieces, k, delta, rng, undirected):
     def search(vertices, edges):
         """A cut below k of the piece, or None, and its certificate."""
         cert = _certificate(edges, k) if undirected else None
-        read = edges if cert is None else cert
-        return _cut_below(vertices, read, k, _balanced(read)), cert
+        return _cut_below(vertices, edges if cert is None else cert, k), cert
 
     classes = []
     stack = [(comp, inner, comp) for comp, inner in pieces]

@@ -68,7 +68,7 @@ BOUNDED_EPSILON_SHRINK = 13.0
 SAMPLE_CONSTANT = 6.0
 
 
-def doubling_schedule(k, epsilon, density, sample_constant=SAMPLE_CONSTANT):
+def doubling_schedule(k, epsilon, density):
     """Rounds of (component size budget, sample count).
 
     Round i targets components of up to 2^i - 1 vertices; sample counts
@@ -80,7 +80,7 @@ def doubling_schedule(k, epsilon, density, sample_constant=SAMPLE_CONSTANT):
     schedule = []
     for i in range(1, rounds + 1):
         gamma = 2 ** i - 1
-        count = math.ceil(sample_constant * k * logterm
+        count = math.ceil(SAMPLE_CONSTANT * k * logterm
                           / (2 ** i * epsilon * density))
         schedule.append((gamma, max(1, count)))
     return schedule
@@ -199,7 +199,7 @@ def local_decision_edge(g, s, k, gamma, cfg, rng, reads=None):
         delta = max(1, math.ceil(gamma * cfg.degree))
     else:
         delta = max(1, gamma * gamma)
-    if g.m <= 2 * k * (delta + k):
+    if g.m <= edge_cut.round_budget(k, delta):
         return _read_whole(_exact_edge, _edge_network, g, s, k, reads)
     res = edge_cut.detect_component_param(g, s, kd, delta, 5.0 / 6.0, rng)
     if res and len(res.members) < g.n:
@@ -218,7 +218,7 @@ def local_decision_vertex(g, s, k, gamma, cfg, rng, reads=None):
         delta = max(1, math.ceil(gamma * cfg.degree))
     else:
         delta = max(1, 2 * gamma * gamma * k)
-    if g.m <= 2 * k * (delta + k):
+    if g.m <= edge_cut.round_budget(k, delta):
         return _read_whole(_exact_vertex, flow.vertex_split_network, g, s,
                            k, reads)
     res = vertex_cut.detect_vertex_out_component(g, s, kd, delta,

@@ -49,9 +49,6 @@ class SplitGraph:
     def is_out_copy(self, v):
         return 1 <= v <= self.base.n
 
-    def original(self, v):
-        return v if v <= self.base.n else v - self.base.n
-
     def tail(self, eid):
         base = self.base
         if eid < base.m:
@@ -131,7 +128,6 @@ class VertexComponentResult:
     queries_used: int
     trials_used: int
     edges_processed: int
-    seed: object = None
 
     def __bool__(self):
         return bool(self.members)
@@ -175,23 +171,19 @@ def component_volume_bound(k, delta):
 def detect_component_volume(view, s, k, delta_v, rng, symmetric=False):
     """One detection attempt under a volume budget delta_v.
 
-    `view` is a Graph or SplitGraph.  In symmetric mode the in-edges of
-    vertices that become interior are charged (and sampled) as well, so
-    the budget tracks restricted symmetric volume.  Returns the raw
-    visited vertex set of the view (or None) plus counters.
+    `view` is a Graph or SplitGraph; symmetric mode takes a SplitGraph,
+    and the in-edges of the in-copies its visited out-copies make
+    interior (`SplitGraph.interior_partner`) are charged (and sampled)
+    as well, so the budget tracks restricted symmetric volume.  Returns
+    the raw visited vertex set of the view (or None) plus counters.
     """
     if k < 0 or delta_v < 0:
         raise ValueError("k and delta_v must be non-negative")
-    partner = None
-    if symmetric:
-        partner = getattr(view, "interior_partner", None) or (lambda v: v)
-    round_budget = 2 * k * (delta_v + k)
-    return _run_detection(view, s, k, round_budget, delta_v + 1, delta_v,
-                          rng, interior_partner=partner)
+    partner = view.interior_partner if symmetric else None
+    return _run_detection(view, s, k, delta_v, rng, interior_partner=partner)
 
 
-def detect_vertex_out_component(g, s, k, delta, p, rng, symmetric=False,
-                                seed=None):
+def detect_vertex_out_component(g, s, k, delta, p, rng, symmetric=False):
     """Amplified search for a k-vertex-out component containing s.
 
     Looks for components of volume at most delta (symmetric volume when
@@ -216,6 +208,6 @@ def detect_vertex_out_component(g, s, k, delta, p, rng, symmetric=False,
             return VertexComponentResult(
                 members, frozenset(boundary_of(g, members)),
                 volume(g, members), symmetric_volume(g, members),
-                queries, t, processed, seed)
+                queries, t, processed)
     return VertexComponentResult(frozenset(), frozenset(), 0, 0,
-                                 queries, reps, processed, seed)
+                                 queries, reps, processed)
