@@ -81,15 +81,21 @@ class ConnectivityVerdict:
 class PairCuts:
     """Capped s-t vertex cuts asked for in one connectivity computation.
 
-    Holds the vertex-split network of the graph last asked about, built
-    when first needed, and a memo of its answers keyed by (s, t, limit),
-    so a pair already answered in the call is never flowed again.
+    Holds, for the graph last asked about, whether it is strongly
+    connected (checked once, when first asked), its vertex-split network
+    (built when first needed) and a memo of its answers keyed by
+    (s, t, limit), so a pair already answered in the call is never
+    flowed again.  Asking about another graph drops all of it.
 
-    Each (vertex, limit) keeps a forward and a backward proven-reach set
-    (`flow.ProvenReach`), grown by every flow that finds no cut.  A pair
-    with t in the forward set of s, or s in the backward set of t, is
-    answered None without a flow, which is the flow's own answer, so
-    every answer equals `flow.st_vertex_cut_at_most` on g.
+    A (vertex, limit) may keep a forward and a backward proven-reach set
+    (`flow.ProvenReach`).  A pair with t in the forward set of s, or s
+    in the backward set of t, is answered None without a flow, which is
+    the flow's own answer, so every answer equals
+    `flow.st_vertex_cut_at_most` on g.  A lookup reads only the sets
+    held.  Callers build, through `proven_reach`, the sets they expect
+    to prove pairs: the sampled step both ends of each pair, Even's
+    scheme its sources only.  An answer with no cut grows the forward
+    set of s and the backward set of t, building them when missing.
 
     Per limit it also keeps the complete vertices: those whose forward
     and backward sets both hold every vertex of g.  A set grows only in
@@ -97,34 +103,55 @@ class PairCuts:
     the backward set of t, so only s and t are checked.
     """
 
-    __slots__ = ("g", "net", "memo", "reach", "complete")
+    __slots__ = ("g", "strong", "net", "memo", "reach", "complete")
 
     def __init__(self):
         self.g = None
 
-    def _reach(self, v, k, backward):
+    def _use(self, g, strong=None):
+        """Hold g, dropping what was held for another graph; `strong`
+        is g's strong connectivity when the caller already knows it."""
+        if g is not self.g:
+            self.g, self.strong, self.net = g, strong, None
+            self.memo, self.reach, self.complete = {}, {}, {}
+
+    def strongly_connected(self, g):
+        """Whether g is strongly connected, checked once per graph."""
+        self._use(g)
+        if self.strong is None:
+            self.strong = is_strongly_connected(g)
+        return self.strong
+
+    def proven_reach(self, g, v, k, backward):
+        """The forward (backward) proven-reach set of v at limit k,
+        built when missing."""
+        self._use(g)
         key = (v, k, backward)
         if key not in self.reach:
-            self.reach[key] = flow.ProvenReach(self.net, v, k, backward,
-                                               split=True)
+            self.reach[key] = flow.ProvenReach(self._network(), v, k,
+                                               backward, split=True)
         return self.reach[key]
 
+    def _network(self):
+        if self.net is None:
+            self.net = flow.vertex_split_network(self.g)
+        return self.net
+
     def cut(self, g, s, t, k):
-        if g is not self.g:
-            self.g, self.net = g, flow.vertex_split_network(g)
-            self.memo, self.reach, self.complete = {}, {}, {}
+        self._use(g)
         key = (s, t, k)
         if key in self.memo:
             return self.memo[key]
         if s == t:
             raise ValueError("endpoints must differ")
-        if t in self._reach(s, k, False) or s in self._reach(t, k, True):
+        if t in self.reach.get((s, k, False), ()) or \
+                s in self.reach.get((t, k, True), ()):
             res = None
         else:
-            res = flow.st_vertex_cut_at_most(g, s, t, k, self.net)
+            res = flow.st_vertex_cut_at_most(g, s, t, k, self._network())
         if res is None:
-            self._reach(s, k, False).add(t)
-            self._reach(t, k, True).add(s)
+            self.proven_reach(g, s, k, False).add(t)
+            self.proven_reach(g, t, k, True).add(s)
             for v in (s, t):
                 sets = [self.reach.get((v, k, back)) for back in (False, True)]
                 if all(r is not None and len(r.members) == g.n for r in sets):
@@ -207,6 +234,9 @@ def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
             for b in (g.tail(e2), g.head(e2)):
                 if a == b:
                     continue
+                # the two ends' sets prove adjacent pairs, among others
+                pairs.proven_reach(g, a, k, False)
+                pairs.proven_reach(g, b, k, True)
                 cut = pairs.cut(g, a, b, k)
                 if cut is not None:
                     return cut
@@ -282,7 +312,8 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     "probably_at_least_k" otherwise (correct with high probability).
     Requires k <= sqrt(m)/2 for the sampling machinery; above that, and
     on graphs too small for any useful budget, an exact fallback runs.
-    `pairs` carries one PairCuts across the probes of a search.
+    `pairs` carries one PairCuts across the probes of a search, and
+    with it the one strong-connectivity check of each graph it holds.
 
     In sampled mode the pair flows run first.  When their answers leave
     k vertices with complete proven-reach sets both ways at k
@@ -298,7 +329,8 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
         # single vertex (or empty) graph: connectivity 0 by convention
         stats["mode"] = "tiny"
         return ConnectivityVerdict("cut_found", k, None, stats)
-    if not is_strongly_connected(g):
+    pairs = pairs or PairCuts()
+    if not pairs.strongly_connected(g):
         cut = _degenerate_cut(g)
         stats["mode"] = "degenerate"
         return ConnectivityVerdict("cut_found", k, cut, stats)
@@ -313,7 +345,6 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
             return ConnectivityVerdict("cut_found", k, cut, stats)
         return ConnectivityVerdict("probably_at_least_k", k, None, stats)
     stats["mode"] = "sampled"
-    pairs = pairs or PairCuts()
     cut = sample_pair_step(g, k, delta_star, c, rng, pairs)
     if cut is None and not pairs.proves_at_least(g, k):
         cut = local_sweep_step(g, k, delta_star, c, rng)
@@ -332,15 +363,23 @@ def fallback_exact(g, pairs=None):
     skipping adjacent ordered pairs, while i is below the best value
     found so far: until that value is kappa, the first kappa + 1
     vertices all get their turn.  Returns n-1 with no witness when
-    every ordered pair is adjacent.  Flows go through `pairs`, the PairCuts of
-    the search, or a fresh one.
+    every ordered pair is adjacent.  Flows go through `pairs`, the
+    PairCuts of the search, or a fresh one.
+
+    Only the sources hold proven-reach sets for the loop: the pair
+    (v, w) is skipped when w is in v's forward set at the current best,
+    (w, v) when w is in v's backward set, for their flows would find no
+    cut.  No set is built for a far end w unless a flow runs for it, so
+    a limit costs two sets per source and at most one per flow, not 2n.
+    Skipped pairs leave best and its witness as they were, so the answer
+    is that of the plain scheme.
     """
     n = g.n
     if n <= 1:
         return 0, None
-    # no flow can cut an adjacent pair, so skip it before `pairs`: on an
-    # all-adjacent graph such as K8 answering them there would build 2n
-    # proven-reach sets for pairs with nothing to decide
+    # no flow can cut an adjacent pair, so skip it before the sources'
+    # sets: on an all-adjacent graph such as K8 reading them would build
+    # two sets per source for pairs with nothing to decide
     adjacent = set(g.pairs())
     pairs = pairs or PairCuts()
     order = list(g.vertices())
@@ -351,7 +390,8 @@ def fallback_exact(g, pairs=None):
             break
         for w in order[i + 1:]:
             for s, t in ((v, w), (w, v)):
-                if (s, t) in adjacent:
+                if (s, t) in adjacent or \
+                        w in pairs.proven_reach(g, v, best, s == w):
                     continue
                 cut = pairs.cut(g, s, t, best)
                 if cut is not None and cut.size < best:
@@ -362,7 +402,7 @@ def fallback_exact(g, pairs=None):
     return best, best_cut
 
 
-def _kappa_search(n, graph_at, rng, c):
+def _kappa_search(n, graph_at, rng, c, pairs):
     """Doubling search for an upper bracket, then bisection, in one loop.
 
     `graph_at(k)` is the graph that decides threshold k; the thresholds
@@ -373,13 +413,12 @@ def _kappa_search(n, graph_at, rng, c):
     probe samples at constant c + log_n P, so by the union bound over the
     probes the search's sampling misses anything with probability at
     most n^-c.
-    Returns (kappa, cut) with cut None iff no probe found one, i.e.
-    kappa = n - 1.
+    `pairs` is the PairCuts the probes share.  Returns (kappa, cut)
+    with cut None iff no probe found one, i.e. kappa = n - 1.
     """
     c_probe = c + math.log(2 * math.ceil(math.log2(n)), n)
     lo, hi = 1, n - 1
     best_cut = None
-    pairs = PairCuts()
     k = 2
     while lo < hi:
         if best_cut is None:
@@ -409,9 +448,10 @@ def vertex_connectivity_directed(g, rng, c=2.0):
     n = g.n
     if n <= 1:
         return 0, None
-    if not is_strongly_connected(g):
+    pairs = PairCuts()
+    if not pairs.strongly_connected(g):
         return 0, _degenerate_cut(g)
-    return _kappa_search(n, lambda k: g, rng, c)
+    return _kappa_search(n, lambda k: g, rng, c, pairs)
 
 
 def scan_first_certificate(und, k):
@@ -484,10 +524,18 @@ def vertex_connectivity_undirected(und, rng, c=2.0):
         left = comps[0]
         rest = set(range(1, n + 1)) - left
         return 0, VertexCut(frozenset(left), frozenset(), frozenset(rest))
+    pairs = PairCuts()
+
+    def certificate(k):
+        # the first scan-first forest spans the connected input, so the
+        # bidirected certificate is strongly connected without a check
+        cert = scan_first_certificate(und, k).to_directed()
+        pairs._use(cert, strong=True)
+        return cert
+
     # a certificate for k is valid for every probe up to k, so the
     # bisection may stay on the one that found the cut
-    kappa, best_cut = _kappa_search(
-        n, lambda k: scan_first_certificate(und, k).to_directed(), rng, c)
+    kappa, best_cut = _kappa_search(n, certificate, rng, c, pairs)
     if best_cut is None:
         return kappa, None
     lifted = _lift_cutset(und, best_cut.middle)
