@@ -4,11 +4,11 @@ For a threshold k, every vertex cut of size below k either has a side of
 small symmetric volume (caught by running the local vertex-out detector
 from sampled edge endpoints at geometrically shrinking volume budgets)
 or both sides are voluminous (caught by max-flow between sampled edge
-endpoint pairs).  Thresholds too large for sampling are decided exactly
-by Even's scheme of capped flows.  One doubling plus bisection search
-over k finds the exact connectivity value of directed and undirected
-inputs alike; undirected ones are first sparsified with a
-scan-first-forest certificate.
+endpoint pairs).  Even's scheme of capped flows decides thresholds too
+large for sampling exactly, and runs first on the others (below).  One
+doubling plus bisection search over k finds the exact connectivity
+value of directed and undirected inputs alike; undirected ones are
+first sparsified with a scan-first-forest certificate.
 
 A probe stops as soon as its own work decides the threshold.  The pair
 flows are exact, and each answer with no cut grows proven-reach sets.
@@ -20,11 +20,22 @@ orientation) once per probe: the detector's guarantee is monotone in
 the budget, so a failure at budget b answers every smaller budget, and
 only a success that had to be discarded is retried, at smaller budgets.
 
+Even's scheme runs first.  A probe in sampling range runs it under a
+work budget equal to the code's own upper bound on the sampled probe's
+cost, in arc scans: the pair step's flows plus the sweep's detection
+trials.  The scheme is charged only for the flows it runs (searches
+times network arcs) and the proven-reach sets it builds; memo hits and
+pairs its sets prove cost nothing, so a later probe replays an
+abandoned run for free.  A run that finishes within the budget decides
+the probe exactly, and the directed search ends with its kappa; a run
+that does not hands the same PairCuts to the sampled steps.
+
 The search has one failure budget.  It probes each threshold once, at
 most P = 2 ceil(log2 n) probes, and each probe samples at constant
 c + log_n P, so a union bound over the probes gives: the returned kappa
 is wrong with probability at most n^-c + P * n^-3, the second term for
-the sweep's detections, each amplified to 1 - n^-3.  Neither stopping
+the sweep's detections, each amplified to 1 - n^-3, and P counting the
+sampled probes only, since an exact probe cannot err.  Neither stopping
 rule adds to it: a probe decided by its flows cannot err, and a small
 side whose first hit vertex is skipped had that vertex fail one
 amplified detection at a budget where the side qualified.  A returned
@@ -34,7 +45,7 @@ cut is always a valid witness.
 import dataclasses
 import math
 
-from . import flow, vertex_cut
+from . import edge_cut, flow, vertex_cut
 from .graph import (UndirectedGraph, components, graph_sccs,
                     is_strongly_connected, reverse_graph, undirected_components)
 
@@ -72,6 +83,9 @@ class ConnectivityVerdict:
     k: int
     cut: VertexCut | None
     stats: dict
+    # (kappa, witness) of the probed graph when Even's scheme decided the
+    # probe; the witness is None iff kappa = n - 1
+    exact: tuple | None = None
 
     @property
     def found(self):
@@ -101,12 +115,18 @@ class PairCuts:
     and backward sets both hold every vertex of g.  A set grows only in
     a call that finds no cut, and there only the forward set of s and
     the backward set of t, so only s and t are checked.
+
+    `spent` counts, across graphs, the arc scans of the work done: a
+    flow is charged its augmenting searches times the network's arcs,
+    and a set the network's arcs, which bound its scans over its life.
+    Memo hits and pairs proven by a set are free.
     """
 
-    __slots__ = ("g", "strong", "net", "memo", "reach", "complete")
+    __slots__ = ("g", "strong", "net", "memo", "reach", "complete", "spent")
 
     def __init__(self):
         self.g = None
+        self.spent = 0
 
     def _use(self, g, strong=None):
         """Hold g, dropping what was held for another graph; `strong`
@@ -128,8 +148,10 @@ class PairCuts:
         self._use(g)
         key = (v, k, backward)
         if key not in self.reach:
-            self.reach[key] = flow.ProvenReach(self._network(), v, k,
-                                               backward, split=True)
+            net = self._network()
+            self.reach[key] = flow.ProvenReach(net, v, k, backward,
+                                               split=True)
+            self.spent += len(net.head)
         return self.reach[key]
 
     def _network(self):
@@ -148,7 +170,11 @@ class PairCuts:
                 s in self.reach.get((t, k, True), ()):
             res = None
         else:
-            res = flow.st_vertex_cut_at_most(g, s, t, k, self._network())
+            net = self._network()
+            res = flow.st_vertex_cut_at_most(g, s, t, k, net)
+            # k searches reach the limit; f + 1 end at a cut of size f
+            self.spent += len(net.head) * (k if res is None
+                                           else len(res[1]) + 1)
         if res is None:
             self.proven_reach(g, s, k, False).add(t)
             self.proven_reach(g, t, k, True).add(s)
@@ -207,6 +233,26 @@ def max_feasible_delta(k, m):
     return max(0, ((m - k * k - 1) // (2 * k) - (k - 1)) // 3)
 
 
+def _pair_draws(g, delta_star, c):
+    """t_pairs: the edge pairs the pair step draws at most."""
+    return math.ceil((4.0 * g.m / delta_star) * c * math.log(g.n))
+
+
+def _sampled_probe_cost(g, k, delta_star, c):
+    """The code's upper bound, in arc scans, on a sampled probe at k.
+
+    The pair step runs at most 4 t_pairs flows of at most k augmenting
+    searches, each over the 2(n + m) arcs of the split network, and the
+    sweep at most 2n detections of repetitions_for(1 - n^-3) trials,
+    each within the vertex detector's per-trial bound at delta_star.
+    """
+    n = g.n
+    pair_step = 4 * _pair_draws(g, delta_star, c) * k * 2 * (n + g.m)
+    trials = 2 * n * edge_cut.repetitions_for(1.0 - 1.0 / n ** 3)
+    return pair_step + trials * vertex_cut.trial_edge_bound(k - 1,
+                                                            delta_star)
+
+
 def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
     """Flow probes between endpoints of sampled edge pairs.
 
@@ -225,9 +271,8 @@ def sample_pair_step(g, k, delta_star, c, rng, pairs=None):
     n, m = g.n, g.m
     if m == 0 or n < 2:
         return None
-    t_pairs = math.ceil((4.0 * m / delta_star) * c * math.log(n))
     pairs = pairs or PairCuts()
-    for _ in range(t_pairs):
+    for _ in range(_pair_draws(g, delta_star, c)):
         e1 = rng.randrange(m)
         e2 = rng.randrange(m)
         for a in (g.tail(e1), g.head(e1)):
@@ -308,18 +353,29 @@ def local_sweep_step(g, k, delta_star, c, rng):
 def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     """Decide whether the directed vertex connectivity is at least k.
 
-    Returns a cut of size below k when one is found (always correct), or
-    "probably_at_least_k" otherwise (correct with high probability).
-    Requires k <= sqrt(m)/2 for the sampling machinery; above that, and
-    on graphs too small for any useful budget, an exact fallback runs.
-    `pairs` carries one PairCuts across the probes of a search, and
-    with it the one strong-connectivity check of each graph it holds.
+    Returns "cut_found" when kappa(g) < k (always correct), or
+    "probably_at_least_k" otherwise (certain when the probe is exact,
+    else correct with high probability).  A found verdict carries a cut of
+    size below k whenever g has a vertex cut at all; `cut` is None only
+    when none exists: n <= 1, or every ordered pair is adjacent while
+    k > n - 1.  `pairs` carries one PairCuts across the probes of a
+    search, and with it the one strong-connectivity check of each graph
+    it holds.
 
-    In sampled mode the pair flows run first.  When their answers leave
-    k vertices with complete proven-reach sets both ways at k
-    (`PairCuts.proves_at_least`), kappa >= k is certain and the sweep is
-    skipped; otherwise the sweep runs, and a miss has probability at
-    most n^-c + n^-3.
+    The sampling machinery needs k <= sqrt(m)/2 and a useful budget
+    delta_star; outside that range Even's scheme (`fallback_exact`)
+    decides the probe, unbudgeted.  Inside it, Even's scheme runs first
+    on `pairs` under a budget of `_sampled_probe_cost` arc scans, the
+    code's own upper bound on the sampled probe's cost.  Either way a
+    finished run makes the probe "exact": it cannot err, and `exact`
+    holds kappa(g) and its witness.
+
+    A run over budget leaves its flows and sets in `pairs`, and the
+    sampled steps take over.  The pair flows run first.  When their
+    answers leave k vertices with complete proven-reach sets both ways
+    at k (`PairCuts.proves_at_least`), kappa >= k is certain and the
+    sweep is skipped; otherwise the sweep runs, and a miss has
+    probability at most n^-c + n^-3.
     """
     n, m = g.n, g.m
     stats = {"mode": None}
@@ -339,11 +395,17 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
         return ConnectivityVerdict("probably_at_least_k", k, None, stats)
     delta_star = max_feasible_delta(k, m)
     if 2 * k > math.sqrt(m) or delta_star < 1:
+        exact = fallback_exact(g, pairs)
+    else:
+        exact = _even_scheme(g, pairs,
+                             _sampled_probe_cost(g, k, delta_star, c))
+    if exact is not None:
         stats["mode"] = "exact"
-        kappa, cut = fallback_exact(g, pairs)
+        kappa, cut = exact
         if kappa < k:
-            return ConnectivityVerdict("cut_found", k, cut, stats)
-        return ConnectivityVerdict("probably_at_least_k", k, None, stats)
+            return ConnectivityVerdict("cut_found", k, cut, stats, exact)
+        return ConnectivityVerdict("probably_at_least_k", k, None, stats,
+                                   exact)
     stats["mode"] = "sampled"
     cut = sample_pair_step(g, k, delta_star, c, rng, pairs)
     if cut is None and not pairs.proves_at_least(g, k):
@@ -374,6 +436,13 @@ def fallback_exact(g, pairs=None):
     Skipped pairs leave best and its witness as they were, so the answer
     is that of the plain scheme.
     """
+    return _even_scheme(g, pairs or PairCuts())
+
+
+def _even_scheme(g, pairs, budget=None):
+    """fallback_exact's (kappa, witness) on `pairs`; with a budget, None
+    as soon as the arc scans charged to `pairs` (`PairCuts.spent`) in
+    this run pass it."""
     n = g.n
     if n <= 1:
         return 0, None
@@ -381,7 +450,7 @@ def fallback_exact(g, pairs=None):
     # sets: on an all-adjacent graph such as K8 reading them would build
     # two sets per source for pairs with nothing to decide
     adjacent = set(g.pairs())
-    pairs = pairs or PairCuts()
+    stop = math.inf if budget is None else pairs.spent + budget
     order = list(g.vertices())
     best = n - 1
     best_cut = None
@@ -390,10 +459,12 @@ def fallback_exact(g, pairs=None):
             break
         for w in order[i + 1:]:
             for s, t in ((v, w), (w, v)):
-                if (s, t) in adjacent or \
-                        w in pairs.proven_reach(g, v, best, s == w):
+                if (s, t) in adjacent:
                     continue
-                cut = pairs.cut(g, s, t, best)
+                proven = w in pairs.proven_reach(g, v, best, s == w)
+                cut = None if proven else pairs.cut(g, s, t, best)
+                if pairs.spent > stop:
+                    return None
                 if cut is not None and cut.size < best:
                     best = cut.size
                     best_cut = cut
@@ -402,7 +473,7 @@ def fallback_exact(g, pairs=None):
     return best, best_cut
 
 
-def _kappa_search(n, graph_at, rng, c, pairs):
+def _kappa_search(n, graph_at, rng, c, pairs, exact_ends=False):
     """Doubling search for an upper bracket, then bisection, in one loop.
 
     `graph_at(k)` is the graph that decides threshold k; the thresholds
@@ -412,7 +483,9 @@ def _kappa_search(n, graph_at, rng, c, pairs):
     [lo, hi] per probe, so there are at most P = 2 ceil(log2 n).  Every
     probe samples at constant c + log_n P, so by the union bound over the
     probes the search's sampling misses anything with probability at
-    most n^-c.
+    most n^-c; exact probes sample nothing and cannot err.
+    With `exact_ends`, for a search whose graph_at is one graph, the
+    first exact probe's kappa and witness are the answer.
     `pairs` is the PairCuts the probes share.  Returns (kappa, cut)
     with cut None iff no probe found one, i.e. kappa = n - 1.
     """
@@ -421,9 +494,13 @@ def _kappa_search(n, graph_at, rng, c, pairs):
     best_cut = None
     k = 2
     while lo < hi:
+        # a threshold above n - 1 could be "found" with no cut to return
+        assert k <= n - 1
         if best_cut is None:
             g = graph_at(k)
         verdict = is_connectivity_at_least(g, k, rng, c_probe, pairs)
+        if exact_ends and verdict.exact is not None:
+            return verdict.exact
         if verdict.found:
             best_cut = verdict.cut
             hi = best_cut.size
@@ -438,12 +515,16 @@ def vertex_connectivity_directed(g, rng, c=2.0):
     """Exact directed vertex connectivity with a witness cut.
 
     Doubling search finds an upper bracket, bisection pins the value,
-    probing each threshold once.  A returned cut is always valid; the
+    probing each threshold once.  Each probe runs Even's scheme first,
+    within the cost bound of its sampled steps; the first probe whose
+    run finishes has computed kappa of g exactly, and its kappa and
+    witness end the search.  A returned cut is always valid; the
     returned kappa is wrong with probability at most n^-c + P * n^-3,
-    P = 2 ceil(log2 n): sampling misses with probability at most n^-c
-    over the whole search, and each of its at most P probes loses a hit
-    side to detection with probability at most n^-3.  Returns
-    (kappa, cut) where cut is None iff kappa == n - 1 (or n <= 1).
+    P <= 2 ceil(log2 n) the number of sampled probes: sampling misses
+    with probability at most n^-c over the whole search, and each
+    sampled probe loses a hit side to detection with probability at
+    most n^-3.  Returns (kappa, cut) where cut is None iff
+    kappa == n - 1 (or n <= 1).
     """
     n = g.n
     if n <= 1:
@@ -451,7 +532,7 @@ def vertex_connectivity_directed(g, rng, c=2.0):
     pairs = PairCuts()
     if not pairs.strongly_connected(g):
         return 0, _degenerate_cut(g)
-    return _kappa_search(n, lambda k: g, rng, c, pairs)
+    return _kappa_search(n, lambda k: g, rng, c, pairs, exact_ends=True)
 
 
 def scan_first_certificate(und, k):

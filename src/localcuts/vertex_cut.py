@@ -11,7 +11,8 @@ most a factor of three.
 
 import dataclasses
 
-from .edge_cut import _run_detection, internal_edge_count, repetitions_for
+from .edge_cut import (_run_detection, internal_edge_count, repetitions_for,
+                       trial_edge_bound as edge_trial_bound)
 from .graph import Edge, Graph, GraphError
 
 
@@ -166,6 +167,12 @@ def component_volume_bound(k, delta):
     accepts at most 3*delta, so 2(k+1)(3*delta + k) dominates both.
     """
     return 2 * (k + 1) * (3 * delta + k)
+
+
+def trial_edge_bound(k, delta):
+    """Split-graph edges one trial of detect_vertex_out_component
+    processes at most: an edge-detector trial at budget 3*delta."""
+    return edge_trial_bound(k, 3 * delta)
 
 
 def detect_component_volume(view, s, k, delta_v, rng, symmetric=False):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcuts import connectivity
-from localcuts.connectivity import (PairCuts, is_connectivity_at_least,
+from localcuts.connectivity import (PairCuts, max_feasible_delta,
+                                    sample_pair_step,
                                     vertex_connectivity_directed)
 from localcuts.graph import Graph
 from localcuts.oracles import oracle_vertex_connectivity
@@ -85,14 +86,19 @@ def no_sweep(*args, **kwargs):
 
 @pytest.mark.parametrize("n,d", [(16, 2), (12, 3), (100, 3)])
 def test_probe_stops_once_k_vertices_are_complete(monkeypatch, n, d):
+    # the pair step alone: a probe runs Even's scheme first, and these
+    # graphs are small enough for it to finish within budget
     g = circulant(n, d)             # kappa = d >= 2
-    monkeypatch.setattr(connectivity, "local_sweep_step", no_sweep)
+    delta_star = max_feasible_delta(2, g.m)
     calls = counting_lookups(monkeypatch)
     for seed in range(5):
         calls.clear()
-        verdict = is_connectivity_at_least(g, 2, random.Random(seed))
-        assert verdict.decision == "probably_at_least_k"
-        assert verdict.stats["mode"] == "sampled"
+        pairs = PairCuts()
+        cut = sample_pair_step(g, 2, delta_star, 2.0, random.Random(seed),
+                               pairs)
+        assert cut is None
+        # the probe skips the sweep exactly when this proof holds
+        assert pairs.proves_at_least(g, 2)
         assert len(calls) < n * (n - 1) / 4
 
 

@@ -11,10 +11,11 @@ import random
 
 import pytest
 
-from localcuts import connectivity, vertex_cut
-from localcuts.connectivity import (detection_volume_bound,
+from localcuts import vertex_cut
+from localcuts.connectivity import (PairCuts, detection_volume_bound,
                                     is_connectivity_at_least,
-                                    local_sweep_step, max_feasible_delta)
+                                    local_sweep_step, max_feasible_delta,
+                                    sample_pair_step)
 from localcuts.generators import planted_separator
 from localcuts.graph import Graph
 
@@ -50,16 +51,19 @@ def test_sweep_detects_each_vertex_and_orientation_once(monkeypatch):
 
 
 @pytest.mark.parametrize("g", [circulant(12, 3), bidirected_clique(8)])
-def test_probe_decided_by_its_flows_skips_the_sweep(monkeypatch, g):
-    # kappa is 3 and 7: at k = 2 the right answer is "at least k"
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep ran after the flows covered every pair")
-
-    monkeypatch.setattr(connectivity, "local_sweep_step", no_sweep)
+def test_probe_decided_by_its_flows_skips_the_sweep(g):
+    # kappa is 3 and 7: at k = 2 the right answer is "at least k".  The
+    # pair step alone, since a probe runs Even's scheme first and on
+    # these graphs it finishes within budget.
+    delta_star = max_feasible_delta(2, g.m)
     for seed in range(10):
-        verdict = is_connectivity_at_least(g, 2, random.Random(seed))
-        assert verdict.stats["mode"] == "sampled"
-        assert not verdict.found
+        pairs = PairCuts()
+        cut = sample_pair_step(g, 2, delta_star, 2.0, random.Random(seed),
+                               pairs)
+        assert cut is None
+        # the probe skips the sweep exactly when this proof holds
+        assert pairs.proves_at_least(g, 2), \
+            "the sweep would run after the flows covered every pair"
 
 
 def test_probe_with_uncovered_pairs_still_sweeps():
