@@ -124,7 +124,7 @@ def cmd_test_connectivity(args):
     else:
         g = _read_graph(args.graph)
     degree = args.degree if args.degree is not None else \
-        (g.m / g.n if g.n else 1.0)
+        (g.m / g.n if g.m else 1.0)
     cfg = testers.TesterConfig(k=args.k, epsilon=args.epsilon,
                                model=args.model, degree=degree,
                                n=g.n, m=g.m)

@@ -8,7 +8,10 @@ variants first carve off small components found by the bounded-size
 detector, touching only a fraction of the graph per removal, and fall
 back to global cuts for whatever remains.  Every loop walks pieces: a
 component together with its internal edges, split off in one pass, on
-an explicit stack rather than by recursion.
+an explicit stack rather than by recursion.  The local variants keep one
+such stack, and a piece is searched, carved or split only when popped:
+the components a carve removes and the pieces of what is left go back
+on it.
 
 The order within a piece is: one global cut search, then a local phase
 only if the piece has a cut below k.  The detector returns only sets
@@ -157,8 +160,6 @@ def baseline_mkecs(g, k):
     """Reference decomposition into maximal k-edge-connected subgraphs."""
     if k < 1:
         raise ValueError("k must be positive")
-    if g.n == 0:
-        return Decomposition(k, [])
     return Decomposition(k, _baseline(set(g.vertices()), g.edges, k))
 
 
@@ -185,11 +186,11 @@ def _certificate(arcs, k):
     return [a for e in _forest_rounds(arcs[::2], k) for a in (e, back[e.id])]
 
 
-def _carve(vertices, edges, cert, queue, k, kd, delta, rng, classes):
-    """Local phase on one piece: carve off what the detector finds,
-    appending its classes; returns the live vertices and edges.
-    Detection starts from the vertices of `queue` and from the endpoints
-    of edges that later carves remove.
+def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
+    """Local phase on one piece: carve off what the detector finds.
+    Returns the carved components, each with its inner edges, and the
+    live vertices and edges.  Detection starts from the vertices of
+    `queue` and from the endpoints of edges that later carves remove.
 
     A directed piece (`cert` None) is read on its live edges, forward
     and then backward.  An undirected piece is read forward on `cert`,
@@ -201,6 +202,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, classes):
     n_max = max(vertices)
     p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
     live = set(vertices)
+    carved = []
     removed = 0
     worklist = deque(sorted(queue))
     queued = set(worklist)
@@ -248,7 +250,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, classes):
             continue
         # the component is carved off: crossing edges vanish, it is
         # decomposed on its own, and the frontier is re-examined
-        classes.extend(_baseline(members, inner, k))
+        carved.append((members, inner))
         live -= members
         removed += len(edges) - len(rest)
         edges = rest
@@ -260,28 +262,25 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, classes):
             if v not in queued:
                 worklist.append(v)
                 queued.add(v)
-    return live, edges
+    return carved, live, edges
 
 
 def _local(pieces, k, delta, rng, undirected):
-    """Classes of strongly connected pieces, walked on one explicit stack
-    of (vertices, edges, queue).  An undirected piece holds antiparallel
-    pairs; its cut search and its detection read its bidirected
-    certificate, which keeps every cut of fewer than k edges whole.
+    """Classes of the pieces, walked on one explicit stack of (vertices,
+    edges, queue); a piece is searched, carved or split only when it is
+    popped.  An undirected piece holds antiparallel pairs; its cut search
+    and its detection read its bidirected certificate, built here from
+    its edges, which keeps every cut of fewer than k edges whole.
 
     A piece too small for the detector's cap goes to the baseline.  Any
     other piece gets one global cut search first: with no cut below k it
     is a class and runs no detection.  Otherwise the local phase carves
-    it, and the global phase splits what is left by a cut below k,
-    reusing the first search's cut when nothing was carved."""
+    from its queue.  If it carves, the carved components and the pieces
+    of what is left go back on the stack with empty queues, so each is
+    searched once and split by that cut.  If it carves nothing, the piece
+    is split by the first search's cut."""
     kd = min(k, max(1, delta)) - 1
     bound = detection_edge_bound(kd, delta)
-
-    def search(vertices, edges):
-        """A cut below k of the piece, or None, and its certificate."""
-        cert = _certificate(edges, k) if undirected else None
-        return _cut_below(vertices, edges if cert is None else cert, k), cert
-
     classes = []
     stack = [(comp, inner, comp) for comp, inner in pieces]
     while stack:
@@ -289,22 +288,18 @@ def _local(pieces, k, delta, rng, undirected):
         if len(edges) <= bound:
             classes.extend(_baseline(vertices, edges, k))
             continue
-        cut, cert = search(vertices, edges)
+        cert = _certificate(edges, k) if undirected else None
+        cut = _cut_below(vertices, edges if cert is None else cert, k)
         if cut is None:
             classes.append(frozenset(vertices))
             continue
-        live, live_edges = _carve(vertices, edges, cert, queue, k, kd, delta,
-                                  rng, classes)
-        if len(live) == len(vertices):
-            rest = [(vertices, edges, cut)]
+        carved, live, live_edges = _carve(vertices, edges, cert, queue, k,
+                                          kd, delta, rng)
+        if carved:
+            stack += [(comp, inner, set())
+                      for comp, inner in carved + _pieces(live, live_edges)]
         else:
-            rest = [(comp, inner, search(comp, inner)[0])
-                    for comp, inner in _pieces(live, live_edges)]
-        for comp, inner, cut in rest:
-            if cut is None:
-                classes.append(frozenset(comp))
-            else:
-                stack += _split(comp, inner, set(cut.cut_edges))
+            stack += _split(vertices, edges, set(cut.cut_edges))
     return classes
 
 
@@ -321,8 +316,6 @@ def mkecs_directed(g, k, rng, delta=None):
         raise ValueError("k must be positive")
     if delta is not None and delta < 0:
         raise ValueError("delta must be non-negative")
-    if g.n == 0:
-        return Decomposition(k, [])
     if delta is None:
         delta = max(1, math.ceil(math.sqrt(max(1, g.m) / k)))
     return Decomposition(k, _local(
@@ -397,8 +390,6 @@ def mkecs_undirected(und, k, rng, gamma=None):
         raise ValueError("k must be positive")
     if gamma is not None and gamma < 0:
         raise ValueError("gamma must be non-negative")
-    if und.n == 0:
-        return Decomposition(k, [])
     if gamma is None:
         gamma = max(1, math.ceil(math.sqrt(und.n) / k))
     return Decomposition(k, _local(

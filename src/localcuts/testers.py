@@ -148,9 +148,7 @@ def _exact_vertex(g, s, k, net):
         if res is None:
             proven.add(t)
             continue
-        left, middle, right = res
-        if s not in left or not right:
-            continue
+        left, middle, _ = res
         return True, vertex_cut.VertexComponentResult(
             frozenset(left), frozenset(middle),
             vertex_cut.volume(g, left),
@@ -252,6 +250,9 @@ def _validated_vertex_witness(g, members, boundary, k):
 
 
 def _run_tester(g, cfg, rng, decide, validate, singleton):
+    # fewer than two vertices leave no proper side to reject with
+    if g.n < 2:
+        return TesterVerdict(True)
     eps, density = _effective(cfg)
     queries = 0
     samples = 0
@@ -259,7 +260,7 @@ def _run_tester(g, cfg, rng, decide, validate, singleton):
     # vertex into a degree-deficient singleton; two probes decide, unless
     # the singleton is no proper vertex side (n <= k), which the sampled
     # rounds below then decide
-    if cfg.k <= eps * density / 2.0 and g.n > 1:
+    if cfg.k <= eps * density / 2.0:
         from .graph import CountedView
         view = CountedView(g)
         out_ok = view.query_out_edge(1, cfg.k) is not None

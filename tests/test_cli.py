@@ -165,3 +165,18 @@ def test_edge_list_error_reports_line_number(tmp_path):
     r = run_cli("vertex-connectivity", str(bad))
     assert r.returncode == 2
     assert "line 3" in r.stderr
+
+
+@pytest.mark.parametrize("prop", ["edge", "vertex"])
+@pytest.mark.parametrize("text,code,verdict", [("2 0\n", 1, "Reject"),
+                                               ("1 0\n", 0, "Accept")])
+def test_tester_command_on_edgeless_graphs(tmp_path, prop, text, code,
+                                           verdict):
+    # with no edges the default degree m/n would be 0; it falls back to 1
+    path = tmp_path / "edgeless.txt"
+    path.write_text(text)
+    r = run_cli("test-connectivity", str(path), "--property", prop,
+                "--k", "1", "--epsilon", "0.5")
+    assert r.returncode == code, r.stderr
+    out = json.loads(r.stdout)
+    assert out["verdict"] == verdict

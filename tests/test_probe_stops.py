@@ -17,7 +17,7 @@ from localcuts.connectivity import (PairCuts, detection_volume_bound,
                                     local_sweep_step, max_feasible_delta,
                                     sample_pair_step)
 from localcuts.generators import planted_separator
-from localcuts.graph import Graph
+from localcuts.graph import Graph, Overlay
 
 
 def circulant(n, d):
@@ -66,7 +66,7 @@ def test_probe_decided_by_its_flows_skips_the_sweep(g):
             "the sweep would run after the flows covered every pair"
 
 
-def test_probe_with_uncovered_pairs_still_sweeps():
+def test_probe_with_uncovered_pairs_still_sweeps(monkeypatch):
     g, _ = planted_separator(3, 40, 1, random.Random(9))
     n, k, c = g.n, 2, 2.0
     delta_star = max_feasible_delta(k, g.m)
@@ -77,6 +77,28 @@ def test_probe_with_uncovered_pairs_still_sweeps():
         verdict = is_connectivity_at_least(g, k, random.Random(seed), c)
         assert verdict.found
         assert verdict.cut.size < k and verdict.cut.validate(g)
+    # the probe above is decided by Even's scheme, so the sweep is run
+    # on its own: it finds the planted side, reversing paths on the way
+    flips = count_flips(monkeypatch)
+    for seed in range(10):
+        cut = local_sweep_step(g, k, delta_star, c, random.Random(seed))
+        assert cut is not None
+        assert cut.size < k and cut.validate(g)
+    assert flips
+
+
+def count_flips(monkeypatch):
+    """Patch `Overlay.flip` to record each reversed edge id; returns the
+    list it appends to."""
+    flips = []
+    inner = Overlay.flip
+
+    def counted(self, eid):
+        flips.append(eid)
+        return inner(self, eid)
+
+    monkeypatch.setattr(Overlay, "flip", counted)
+    return flips
 
 
 def test_max_feasible_delta_closed_form_matches_definition():

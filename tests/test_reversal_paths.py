@@ -9,10 +9,13 @@ path then runs to the visited vertex whose scan charged the edge.
 import random
 
 from localcuts.connectivity import (is_connectivity_at_least,
+                                    local_sweep_step, max_feasible_delta,
                                     vertex_connectivity_directed)
 from localcuts.graph import Graph, reverse_graph
 from localcuts.vertex_cut import (SplitGraph, detect_component_volume,
                                   verify_vertex_out)
+
+from test_probe_stops import count_flips
 
 
 def circulant(n, d):
@@ -32,9 +35,15 @@ def test_symmetric_detection_on_reversed_circulant_never_raises():
             assert 4 in members and verify_vertex_out(g, members, 2)
 
 
-def test_connectivity_of_circulants_with_reversal_paths():
+def test_connectivity_of_circulants_with_reversal_paths(monkeypatch):
     verdict = is_connectivity_at_least(circulant(50, 3), 3, random.Random(4))
     assert verdict.decision == "probably_at_least_k"
+    # Even's scheme decides that probe, so the sweep is run on its own
+    flips = count_flips(monkeypatch)
+    g = circulant(50, 3)
+    assert local_sweep_step(g, 3, max_feasible_delta(3, g.m), 2.0,
+                            random.Random(4)) is None
+    assert flips
     for n in (14, 16, 20):
         g = circulant(n, 3)
         for seed in range(5):
