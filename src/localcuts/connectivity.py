@@ -350,6 +350,11 @@ def local_sweep_step(g, k, delta_star, c, rng):
     return None
 
 
+def _check_confidence(c):
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
+
+
 def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     """Decide whether the directed vertex connectivity is at least k.
 
@@ -381,6 +386,7 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     stats = {"mode": None}
     if k < 1:
         raise ValueError("k must be positive")
+    _check_confidence(c)
     if n <= 1:
         # single vertex (or empty) graph: connectivity 0 by convention
         stats["mode"] = "tiny"
@@ -526,6 +532,7 @@ def vertex_connectivity_directed(g, rng, c=2.0):
     most n^-3.  Returns (kappa, cut) where cut is None iff
     kappa == n - 1 (or n <= 1).
     """
+    _check_confidence(c)
     n = g.n
     if n <= 1:
         return 0, None
@@ -597,6 +604,7 @@ def vertex_connectivity_undirected(und, rng, c=2.0):
     The search and its bound are those of vertex_connectivity_directed:
     kappa is wrong with probability at most n^-c + P * n^-3.
     """
+    _check_confidence(c)
     n = und.n
     if n <= 1:
         return 0, None

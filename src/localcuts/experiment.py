@@ -92,7 +92,7 @@ def run_experiment(config):
     if kind == "detect_edge":
         bound = edge_cut.trial_edge_bound(k, delta)
     else:
-        bound = edge_cut.trial_edge_bound(k, 3 * delta) \
+        bound = vertex_cut.trial_edge_bound(k, delta) \
             * edge_cut.repetitions_for(float(task.get("p", 0.5)))
     lo, hi = wilson_interval(successes, trials)
     report = {

@@ -32,13 +32,21 @@ hold the tail of a removed edge, or both ends of one, since only removed
 edges lower its out-degree.  The global phase decides exactly, so no
 class depends on which vertices are queued.
 
+Detection reads a piece in one orientation while it is balanced, with
+in-degree equal to out-degree at every vertex.  There every vertex set
+has as many edges entering as leaving, so a backward detection would
+look for the sets the forward one has just ruled out; the cut search
+flows only from its root for the same reason.  An unbalanced piece is
+also read backward, from each start whose forward detection failed.
+
 One local driver serves both kinds of graph.  An undirected graph
 enters as its antiparallel pairs (`bidirect`: edge i becomes arcs 2i and
 2i + 1), so its pieces, splits and carves are those of a directed graph.
 Only what the detector and the cut search read differs: an undirected
-piece is read through its bidirected certificate of k forests, forward
-only, and the certificate is rebuilt from the live edges when stale.
-Every candidate is checked on the live edges before it is carved.
+piece is read through its bidirected certificate of k forests, which is
+balanced, so forward only, and the certificate is rebuilt from the live
+edges when stale.  Every candidate is checked on the live edges before
+it is carved.
 """
 
 import dataclasses
@@ -192,10 +200,19 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
     live vertices and edges.  Detection starts from the vertices of
     `queue` and from the endpoints of edges that later carves remove.
 
-    A directed piece (`cert` None) is read on its live edges, forward
-    and then backward.  An undirected piece is read forward on `cert`,
-    its bidirected certificate, which is rebuilt from the live edges
-    once the removed edges outnumber both the live vertices and half the
+    A directed piece (`cert` None) is read on its live edges, forward,
+    and backward only while they are unbalanced: on a balanced graph
+    (`_balanced`) every vertex set has as many edges entering as
+    leaving, so the backward detector looks for the same sets as the
+    forward one, at the same success level, as in `_cut_below`.  A
+    carve keeps the live edges balanced exactly when each frontier
+    vertex loses as many in- as out-edges, which the partition pass
+    counts; once unbalanced, they count as such for the rest of the
+    call.
+
+    An undirected piece is read forward only on `cert`, its bidirected,
+    so balanced, certificate, which is rebuilt from the live edges once
+    the removed edges outnumber both the live vertices and half the
     certificate.  Between rebuilds the certificate may be stale, so every
     candidate must have fewer than k leaving edges, in the orientation
     it was found in, on the live edges before it is removed."""
@@ -204,6 +221,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
     live = set(vertices)
     carved = []
     removed = 0
+    balanced = cert is not None or _balanced(edges)
     worklist = deque(sorted(queue))
     queued = set(worklist)
     # the detection graphs change only on a carve or a rebuild
@@ -223,7 +241,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
                                 for e in (edges if cert is None else cert)])
         res = detect_component_param(fwd, s, kd, delta, p, rng)
         forward = True
-        if not res and cert is None:
+        if not res and not balanced:
             if bwd is None:
                 bwd = reverse_graph(fwd)
             res = detect_component_param(bwd, s, kd, delta, p, rng)
@@ -234,7 +252,8 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
         # one pass splits the live edges: inside, outside and crossing
         inner = []
         rest = []
-        frontier = set()
+        # per frontier vertex: out-edges lost minus in-edges lost
+        frontier = Counter()
         leaving = 0
         for e in edges:
             tin, hin = e.tail in members, e.head in members
@@ -245,7 +264,10 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
             else:
                 # a crossing edge leaves in the orientation of detection
                 leaving += tin == forward
-                frontier.add(e.head if tin else e.tail)
+                if tin:
+                    frontier[e.head] -= 1
+                else:
+                    frontier[e.tail] += 1
         if leaving >= k:
             continue
         # the component is carved off: crossing edges vanish, it is
@@ -258,6 +280,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
             cert = [e for e in cert
                     if e.tail not in members and e.head not in members]
         fwd = bwd = None
+        balanced = balanced and not any(frontier.values())
         for v in sorted(frontier):
             if v not in queued:
                 worklist.append(v)

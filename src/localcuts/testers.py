@@ -40,8 +40,8 @@ class TesterConfig:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.model not in ("unbounded", "bounded"):
             raise ValueError("model must be 'unbounded' or 'bounded'")
-        if self.degree <= 0:
-            raise ValueError("degree must be positive")
+        if not 0 < self.degree < math.inf:
+            raise ValueError("degree must be positive and finite")
 
 
 @dataclasses.dataclass

@@ -50,3 +50,28 @@ def test_mkecs_budget_the_driver_would_ignore_exits_2(tmp_path, option):
     assert r.stderr.startswith("usage: ")
     assert "applies only to the local" in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0"])
+@pytest.mark.parametrize("undirected", [False, True])
+def test_non_finite_confidence_exits_2(tmp_path, value, undirected):
+    path = tmp_path / "k4.txt"
+    path.write_text("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    # "=" keeps argparse from reading "-inf" as an option
+    r = run_cli("vertex-connectivity", str(path), "--confidence=" + value,
+                *(["--undirected"] if undirected else []))
+    assert r.returncode == 2
+    assert r.stderr == "error: c must be positive and finite\n"
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tester_degree_exits_2(tmp_path, value):
+    path = tmp_path / "cycle.txt"
+    path.write_text("3 3\n1 2\n2 3\n3 1\n")
+    r = run_cli("test-connectivity", str(path), "--property", "edge",
+                "--k", "1", "--epsilon", "0.5", "--model", "bounded",
+                "--degree", value)
+    assert r.returncode == 2
+    assert r.stderr == "error: degree must be positive and finite\n"
+    assert r.stdout == ""

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from localcuts import edge_cut, vertex_cut
 from localcuts.experiment import (
     wilson_interval, run_experiment, deterministic_view, write_report,
 )
@@ -84,3 +85,18 @@ def test_write_report_json_and_csv(tmp_path):
     assert len(rows) == 5
     assert rows[0]["trial"] == "0"
     assert set(rows[0]) == set(report["trials"][0])
+
+
+def test_vertex_bound_is_the_vertex_detector_budget_per_repetition():
+    config = {
+        "experiment": "detect_vertex",
+        "seed": 5,
+        "trials": 3,
+        "instance": {"family": "planted_edge_component",
+                     "params": {"component_size": 4, "k": 1,
+                                "blob_edges": 60}},
+        "task": {"k": 2, "delta": 7, "p": 0.9},
+    }
+    bound = run_experiment(config)["aggregates"]["processed_bound"]
+    assert bound == vertex_cut.trial_edge_bound(2, 7) \
+        * edge_cut.repetitions_for(0.9)
