@@ -55,8 +55,7 @@ def cmd_detect_edge(args):
     g = _read_graph(args.graph)
     rng = random.Random(args.seed)
     res = edge_cut.detect_component_param(g, args.start, args.k, args.delta,
-                                          args.p, rng,
-                                          worst_case=args.worst_case)
+                                          args.p, rng)
     _emit({"found": bool(res), "members": sorted(res.members),
            "out_edges": sorted(res.out_edges), "edge_size": res.edge_size,
            "queries": res.queries_used, "trials": res.trials_used})
@@ -198,7 +197,6 @@ def build_parser():
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--worst-case", action="store_true")
     p.set_defaults(func=cmd_detect_edge)
 
     p = sub.add_parser("detect-vertex-component",

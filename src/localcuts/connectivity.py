@@ -548,11 +548,16 @@ def scan_first_certificate(und, k):
     Breadth-first search scans each vertex by acquiring all its unseen
     neighbors, so every forest is scan-first; the union preserves vertex
     connectivity up to k, and removing any vertex set of size below k
-    disconnects the certificate iff it disconnects the input.
+    disconnects the certificate iff it disconnects the input.  Forests
+    grow on the simple graph underneath (no loops, the first edge of each
+    endpoint pair): a parallel copy adds no vertex connectivity.
     """
     from collections import deque
 
-    remaining = list(und.edges)
+    firsts = {}
+    for e in und.edges:
+        firsts.setdefault(frozenset((e.tail, e.head)), e)
+    remaining = [e for e in firsts.values() if e.tail != e.head]
     kept = []
     for _ in range(k):
         if not remaining:
@@ -630,6 +635,7 @@ def vertex_connectivity_undirected(und, rng, c=2.0):
     lifted = _lift_cutset(und, best_cut.middle)
     if lifted is not None:
         return kappa, lifted
-    # certificate cut failed to lift (should not happen); recover exactly
+    # runs only if a certificate lost connectivity below its k; recover
+    # exactly
     kappa_exact, cut = fallback_exact(und.to_directed())
     return kappa_exact, cut

@@ -137,8 +137,7 @@ def _sample_path(overlay, s, res, rng):
     return _tree_path(res.tree_parent, s, end)
 
 
-def _run_detection(base, s, k, delta, rng, interior_partner=None,
-                   processed_cap=None):
+def _run_detection(base, s, k, delta, rng, interior_partner=None):
     """Shared detection core: k rounds of `round_budget(k, delta)` edges,
     then a final pass that accepts at most delta; returns (members or
     None, queries, processed)."""
@@ -152,8 +151,6 @@ def _run_detection(base, s, k, delta, rng, interior_partner=None,
         total += len(res.processed)
         if res.completed:
             return res.visited, view.query_count, total
-        if processed_cap is not None and total > processed_cap:
-            return None, view.query_count, total
         path = _sample_path(overlay, s, res, rng)
         overlay.apply_path_reversal(path)
     res = budgeted_dfs(view, s, delta + 1,
@@ -201,7 +198,7 @@ def trial_edge_bound(k, delta):
     return k * round_budget(k, delta) + delta + 1
 
 
-def detect_component(g, s, k, delta, rng, processed_cap=None):
+def detect_component(g, s, k, delta, rng):
     """One detection attempt for a k-edge-out component containing s.
 
     A nonempty result is always a minimal component with at most k
@@ -213,8 +210,7 @@ def detect_component(g, s, k, delta, rng, processed_cap=None):
         raise ValueError("unknown start vertex %d" % s)
     if k < 0 or delta < 0:
         raise ValueError("k and delta must be non-negative")
-    members, queries, total = _run_detection(g, s, k, delta, rng,
-                                             processed_cap=processed_cap)
+    members, queries, total = _run_detection(g, s, k, delta, rng)
     if members is None:
         return ComponentResult(frozenset(), (), 0, queries, 1, total)
     return ComponentResult(frozenset(members),
@@ -223,28 +219,22 @@ def detect_component(g, s, k, delta, rng, processed_cap=None):
                            queries, 1, total)
 
 
-def repetitions_for(p, ratio=2.0):
-    """Trials needed so that per-trial success 1 - 1/ratio amplifies to p."""
+def repetitions_for(p):
+    """Fewest trials t >= 1 with 1 - 2^-t >= p (per-trial success 1/2)."""
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
-    return max(1, math.ceil(math.log(1.0 / (1.0 - p), ratio)))
+    return max(1, math.ceil(math.log(1.0 / (1.0 - p), 2.0)))
 
 
-def detect_component_param(g, s, k, delta, p, rng, worst_case=False):
-    """Amplified detection with target success probability p.
-
-    Repeats detect_component until a nonempty result or the repetition
-    budget runs out.  In worst_case mode each trial is aborted once it
-    processes more than four times the expected edge bound, and the
-    repetition count grows accordingly (per-trial success drops from
-    1/2 to 1/4).
-    """
-    cap = 4 * trial_edge_bound(k, delta) if worst_case else None
-    reps = repetitions_for(p, ratio=4.0 / 3.0 if worst_case else 2.0)
+def detect_component_param(g, s, k, delta, p, rng):
+    """Amplified detection with target success probability p: up to
+    repetitions_for(p) trials of detect_component, until one is nonempty;
+    each processes at most trial_edge_bound(k, delta) edges by design."""
+    reps = repetitions_for(p)
     queries = 0
     processed = 0
     for t in range(1, reps + 1):
-        res = detect_component(g, s, k, delta, rng, processed_cap=cap)
+        res = detect_component(g, s, k, delta, rng)
         queries += res.queries_used
         processed += res.edges_processed
         if res:

@@ -43,14 +43,22 @@ def run_experiment(config):
       task: detector parameters (k, delta, and for detect_vertex: p,
             symmetric)
       start: start vertex (default 1)
+    A config that is not an object or lacks a key raises ValueError.
     """
-    kind = config["experiment"]
+    if not isinstance(config, dict):
+        raise ValueError("config is not an object")
+    try:
+        kind = config["experiment"]
+        seed = int(config["seed"])
+        trials = int(config["trials"])
+        task, inst = config["task"], config["instance"]
+        k, delta, family = int(task["k"]), int(task["delta"]), inst["family"]
+    except KeyError as exc:
+        raise ValueError("config has no key %s" % exc) from None
+    except TypeError as exc:
+        raise ValueError("malformed config: %s" % exc) from None
     if kind not in ("detect_edge", "detect_vertex"):
         raise ValueError("unknown experiment kind %r" % (kind,))
-    seed = int(config["seed"])
-    trials = int(config["trials"])
-    task = config["task"]
-    inst = config["instance"]
     start = int(config.get("start", 1))
 
     t0 = time.perf_counter()
@@ -59,12 +67,11 @@ def run_experiment(config):
     max_processed = 0
     for i in range(trials):
         rng = _trial_rng(seed, i)
-        spec = GeneratorSpec(inst["family"], inst.get("params", {}),
+        spec = GeneratorSpec(family, inst.get("params", {}),
                              rng.randrange(2 ** 32))
         g, _cert = generate(spec)
         if kind == "detect_edge":
-            res = edge_cut.detect_component(
-                g, start, int(task["k"]), int(task["delta"]), rng)
+            res = edge_cut.detect_component(g, start, k, delta, rng)
             found = bool(res)
             rec = {"trial": i, "found": found,
                    "members": len(res.members),
@@ -73,8 +80,7 @@ def run_experiment(config):
                    "processed": res.edges_processed}
         else:
             res = vertex_cut.detect_vertex_out_component(
-                g, start, int(task["k"]), int(task["delta"]),
-                float(task.get("p", 0.5)), rng,
+                g, start, k, delta, float(task.get("p", 0.5)), rng,
                 symmetric=bool(task.get("symmetric", False)))
             found = bool(res)
             rec = {"trial": i, "found": found,
@@ -87,8 +93,6 @@ def run_experiment(config):
         records.append(rec)
     elapsed = time.perf_counter() - t0
 
-    k = int(task["k"])
-    delta = int(task["delta"])
     if kind == "detect_edge":
         bound = edge_cut.trial_edge_bound(k, delta)
     else:

@@ -72,8 +72,6 @@ class SplitGraph:
 
     def out_ids(self, u):
         base = self.base
-        if u == self.s:
-            return base.out_ids(u)
         if u <= base.n:
             return base.out_ids(u)
         return [base.m + u - base.n]
@@ -199,8 +197,6 @@ def detect_vertex_out_component(g, s, k, delta, p, rng, symmetric=False):
     of at most k vertices; if a qualifying component exists the result
     is nonempty with probability at least p.
     """
-    if not g.has_vertex(s):
-        raise ValueError("unknown start vertex %d" % s)
     sv = SplitGraph(g, s)
     reps = repetitions_for(p)
     queries = 0

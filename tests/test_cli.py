@@ -148,6 +148,22 @@ def test_experiment_command(tmp_path):
     assert csvp.read_text().startswith("found,")
 
 
+@pytest.mark.parametrize("config,message", [
+    ({}, "'experiment'"),
+    ({"experiment": "detect_edge", "seed": 1, "trials": 1,
+      "instance": {"family": "cycle_union"}, "task": {"k": 1}}, "'delta'"),
+    ([1, 2], "not an object"),
+])
+def test_malformed_experiment_config_exits_2(tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    r = run_cli("experiment", str(cfg), "--output",
+                str(tmp_path / "report.json"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_bad_input_exits_2(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n1 9\n")

@@ -150,16 +150,6 @@ def test_param_detection_amplifies_and_reports_trials():
     assert 1 <= res.trials_used <= 4
 
 
-def test_worst_case_mode_caps_processed_edges():
-    g, _ = planted_edge_component(4, 1, 300, random.Random(2))
-    bound = 2 * 1 * 1 * (4 + 1) + 4 + 1
-    res = detect_component_param(g, 1, 1, 4, 0.9, random.Random(1),
-                                 worst_case=True)
-    per_trial_cap = 4 * bound
-    assert res.edges_processed <= res.trials_used * (per_trial_cap + bound)
-    assert repetitions_for(0.9, ratio=4 / 3) == 9
-
-
 def test_detect_validates_arguments():
     g = path_graph()
     with pytest.raises(ValueError):
