@@ -44,9 +44,9 @@ enters as its antiparallel pairs (`bidirect`: edge i becomes arcs 2i and
 2i + 1), so its pieces, splits and carves are those of a directed graph.
 Only what the detector and the cut search read differs: an undirected
 piece is read through its bidirected certificate of k forests, which is
-balanced, so forward only, and the certificate is rebuilt from the live
-edges when stale.  Every candidate is checked on the live edges before
-it is carved.
+balanced, so forward only.  The certificate is built once per popped
+piece; a carve drops the arcs at its component, and every candidate is
+checked on the live edges before it is carved.
 """
 
 import dataclasses
@@ -211,31 +211,27 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
     call.
 
     An undirected piece is read forward only on `cert`, its bidirected,
-    so balanced, certificate, which is rebuilt from the live edges once
-    the removed edges outnumber both the live vertices and half the
-    certificate.  Between rebuilds the certificate may be stale, so every
-    candidate must have fewer than k leaving edges, in the orientation
-    it was found in, on the live edges before it is removed."""
+    so balanced, certificate, less the arcs at carved components.  What
+    is left is a subset of the live edges and still k forests, so a set
+    with fewer than k leaving live edges has fewer than k leaving arcs
+    there too, and at most k forests inside it.  A set may look small
+    only on the certificate, so every candidate must have fewer than k
+    leaving edges, in the orientation it was found in, on the live edges
+    before it is removed."""
     n_max = max(vertices)
     p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
     live = set(vertices)
     carved = []
-    removed = 0
     balanced = cert is not None or _balanced(edges)
     worklist = deque(sorted(queue))
     queued = set(worklist)
-    # the detection graphs change only on a carve or a rebuild
+    # the detection graphs change only on a carve
     fwd = bwd = None
     while worklist:
         s = worklist.popleft()
         queued.discard(s)
         if s not in live:
             continue
-        # counted in arcs, two per undirected edge
-        if cert is not None and removed > max(2 * len(live), len(cert) // 2):
-            cert = _certificate(edges, k)
-            removed = 0
-            fwd = None
         if fwd is None:
             fwd = Graph(n_max, [(e.tail, e.head)
                                 for e in (edges if cert is None else cert)])
@@ -274,7 +270,6 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
         # decomposed on its own, and the frontier is re-examined
         carved.append((members, inner))
         live -= members
-        removed += len(edges) - len(rest)
         edges = rest
         if cert is not None:
             cert = [e for e in cert
@@ -406,8 +401,8 @@ def mkecs_undirected(und, k, rng, gamma=None):
     bidirected certificate finds a cut below k in it.
 
     gamma defaults to ceil(sqrt(n) / k); detection runs with edge budget
-    k * gamma on the certificate of the current residual graph, and
-    every candidate is validated against the residual graph itself.
+    k * gamma on the certificate of the current piece, and every
+    candidate is validated against the piece's live edges.
     """
     if k < 1:
         raise ValueError("k must be positive")
