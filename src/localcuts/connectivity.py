@@ -47,7 +47,8 @@ import math
 
 from . import edge_cut, flow, vertex_cut
 from .graph import (UndirectedGraph, components, graph_sccs,
-                    is_strongly_connected, reverse_graph, undirected_components)
+                    is_strongly_connected, reverse_graph, scan_first_forests,
+                    undirected_components)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -543,47 +544,18 @@ def vertex_connectivity_directed(g, rng, c=2.0):
 
 
 def scan_first_certificate(und, k):
-    """Union of k iterated breadth-first spanning forests.
+    """Union of k scan-first forests (`scan_first_forests`) of the simple
+    graph underneath: no loops, the first edge of each endpoint pair.
 
-    Breadth-first search scans each vertex by acquiring all its unseen
-    neighbors, so every forest is scan-first; the union preserves vertex
-    connectivity up to k, and removing any vertex set of size below k
-    disconnects the certificate iff it disconnects the input.  Forests
-    grow on the simple graph underneath (no loops, the first edge of each
-    endpoint pair): a parallel copy adds no vertex connectivity.
+    Removing any vertex set of size below k disconnects the certificate
+    iff it disconnects the input.  A parallel copy adds no vertex
+    connectivity, and on a multigraph the forests would spend rounds on
+    copies: the union could fall below min(kappa, k).
     """
-    from collections import deque
-
     firsts = {}
     for e in und.edges:
         firsts.setdefault(frozenset((e.tail, e.head)), e)
-    remaining = [e for e in firsts.values() if e.tail != e.head]
-    kept = []
-    for _ in range(k):
-        if not remaining:
-            break
-        adj = {}
-        for e in remaining:
-            adj.setdefault(e.tail, []).append((e.head, e))
-            adj.setdefault(e.head, []).append((e.tail, e))
-        forest = []
-        seen = set()
-        for root in range(1, und.n + 1):
-            if root in seen or root not in adj:
-                continue
-            seen.add(root)
-            q = deque([root])
-            while q:
-                u = q.popleft()
-                for w, e in adj.get(u, ()):
-                    if w not in seen:
-                        seen.add(w)
-                        forest.append(e)
-                        q.append(w)
-        kept.extend(forest)
-        forest_ids = {e.id for e in forest}
-        remaining = [e for e in remaining if e.id not in forest_ids]
-    kept.sort(key=lambda e: e.id)
+    kept = scan_first_forests(firsts.values(), k)
     return UndirectedGraph(und.n, [(e.tail, e.head) for e in kept])
 
 

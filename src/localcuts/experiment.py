@@ -13,6 +13,7 @@ import time
 
 from . import edge_cut, vertex_cut
 from .generators import GeneratorSpec, generate
+from .graph import UndirectedGraph
 
 
 def wilson_interval(successes, trials, z=2.576):
@@ -37,9 +38,10 @@ def run_experiment(config):
     Config keys:
       experiment: "detect_edge" or "detect_vertex"
       seed: master seed (int)
-      trials: trial count
+      trials: trial count, non-negative
       instance: {"family": ..., "params": {...}} (regenerated per trial
-                from the trial RNG, so instances vary but reproducibly)
+                from the trial RNG, so instances vary but reproducibly;
+                an undirected family is run on its antiparallel pairs)
       task: detector parameters (k, delta, and for detect_vertex: p,
             symmetric)
       start: start vertex (default 1)
@@ -59,6 +61,8 @@ def run_experiment(config):
         raise ValueError("malformed config: %s" % exc) from None
     if kind not in ("detect_edge", "detect_vertex"):
         raise ValueError("unknown experiment kind %r" % (kind,))
+    if trials < 0:
+        raise ValueError("trials must be non-negative, got %d" % trials)
     start = int(config.get("start", 1))
 
     t0 = time.perf_counter()
@@ -70,6 +74,9 @@ def run_experiment(config):
         spec = GeneratorSpec(family, inst.get("params", {}),
                              rng.randrange(2 ** 32))
         g, _cert = generate(spec)
+        if isinstance(g, UndirectedGraph):
+            # the antiparallel encoding, as `gen --directed` writes it
+            g = g.to_directed()
         if kind == "detect_edge":
             res = edge_cut.detect_component(g, start, k, delta, rng)
             found = bool(res)

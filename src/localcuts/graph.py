@@ -21,6 +21,7 @@ charges the view the same amount.
 """
 
 import dataclasses
+from collections import deque
 
 
 class GraphError(ValueError):
@@ -439,6 +440,43 @@ def components(vertices, edges, undirected=False):
         if undirected:
             adj[e.head].append(e.tail)
     return strongly_connected_components(vertices, adj.__getitem__)
+
+
+def scan_first_forests(edges, k):
+    """Edges of k scan-first spanning forests, in the order of `edges`.
+
+    Each forest is grown breadth-first on the edges the earlier ones
+    left, read as undirected: a scanned vertex acquires all its unseen
+    neighbours, roots go in vertex order, neighbours in the order of
+    `edges` (id order, at every caller), and loops are skipped.  So every forest is maximal on what it grows
+    on, and the union keeps every edge cut of at most k edges whole and
+    at least k edges of every larger one (Nagamochi and Ibaraki, 1992).
+    On a simple graph it also keeps vertex connectivity up to k
+    (Cheriyan, Kao and Thurimella, 1993).
+    """
+    remaining = [e for e in edges if e.tail != e.head]
+    kept = set()
+    for _ in range(k):
+        if not remaining:
+            break
+        adj = {}
+        for e in remaining:
+            adj.setdefault(e.tail, []).append((e.head, e.id))
+            adj.setdefault(e.head, []).append((e.tail, e.id))
+        seen = set()
+        for root in sorted(adj):
+            if root in seen:
+                continue
+            seen.add(root)
+            queue = deque([root])
+            while queue:
+                for w, eid in adj[queue.popleft()]:
+                    if w not in seen:
+                        seen.add(w)
+                        kept.add(eid)
+                        queue.append(w)
+        remaining = [e for e in remaining if e.id not in kept]
+    return [e for e in edges if e.id in kept]
 
 
 def undirected_components(und):

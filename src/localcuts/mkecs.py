@@ -43,10 +43,14 @@ One local driver serves both kinds of graph.  An undirected graph
 enters as its antiparallel pairs (`bidirect`: edge i becomes arcs 2i and
 2i + 1), so its pieces, splits and carves are those of a directed graph.
 Only what the detector and the cut search read differs: an undirected
-piece is read through its bidirected certificate of k forests, which is
-balanced, so forward only.  The certificate is built once per popped
-piece; a carve drops the arcs at its component, and every candidate is
-checked on the live edges before it is carved.
+piece is read through its bidirected certificate, which is balanced, so
+forward only.  The certificate is k scan-first forests of the piece
+(`scan_first_forests`, the forests that vertex connectivity sparsifies
+with), parallel copies kept: any sequence of k maximal forests keeps
+every cut below k whole (Nagamochi and Ibaraki, 1992), and the carve
+needs no more.  It is built once per popped piece; a carve drops the
+arcs at its component, and every candidate is checked on the live
+edges before it is carved.
 """
 
 import dataclasses
@@ -55,7 +59,8 @@ from collections import Counter, deque
 
 from . import flow
 from .edge_cut import detect_component_param, round_budget
-from .graph import Graph, UndirectedGraph, bidirect, components, reverse_graph
+from .graph import (Graph, UndirectedGraph, bidirect, components,
+                    reverse_graph, scan_first_forests)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,11 +192,12 @@ def _split(comp, inner, removed):
 
 
 def _certificate(arcs, k):
-    """Bidirected `_forest_rounds` certificate of a piece of antiparallel
-    pairs, each pair adjacent in `arcs`: the pairs whose first arc the
-    forests keep, in the forests' order."""
-    back = {e.id: b for e, b in zip(arcs[::2], arcs[1::2])}
-    return [a for e in _forest_rounds(arcs[::2], k) for a in (e, back[e.id])]
+    """Bidirected certificate of a piece of antiparallel pairs, each pair
+    adjacent in `arcs`: the pairs whose first arc k scan-first forests
+    (`scan_first_forests`) keep, in the order of `arcs`."""
+    kept = {e.id for e in scan_first_forests(arcs[::2], k)}
+    return [a for e, b in zip(arcs[::2], arcs[1::2]) if e.id in kept
+            for a in (e, b)]
 
 
 def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
@@ -340,57 +346,16 @@ def mkecs_directed(g, k, rng, delta=None):
         _pieces(set(g.vertices()), g.edges), k, delta, rng, False))
 
 
-def _forest_rounds(edges, k):
-    """k maximal spanning forests, preferring edges at low-degree endpoints.
-
-    Pushing forests onto the sparse periphery first makes dense cores
-    shed their surplus edges, which is where the certificate actually
-    thins the graph.
-    """
-    deg = {}
-    for e in edges:
-        deg[e.tail] = deg.get(e.tail, 0) + 1
-        deg[e.head] = deg.get(e.head, 0) + 1
-    remaining = sorted(edges, key=lambda e: (deg[e.tail] + deg[e.head], e.id))
-    kept = []
-    for _ in range(k):
-        if not remaining:
-            break
-        parent = {}
-
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        forest = []
-        leftovers = []
-        for e in remaining:
-            ra, rb = find(e.tail), find(e.head)
-            if ra == rb:
-                leftovers.append(e)
-            else:
-                parent[ra] = rb
-                forest.append(e)
-        kept.extend(forest)
-        remaining = leftovers
-    return kept
-
-
 def sparse_certificate(und, k):
     """Subgraph of at most k(n-1) edges preserving cuts up to size k.
 
-    Union of k maximal spanning forests, each built on the edges unused
-    by the previous ones: any cut of size at most k keeps all its edges,
-    any larger cut keeps at least k of them.
+    Union of k scan-first forests (`scan_first_forests`), parallel
+    copies included: any cut of size at most k keeps all its edges, any
+    larger cut keeps at least k of them.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    kept = _forest_rounds(und.edges, k)
-    kept.sort(key=lambda e: e.id)
+    kept = scan_first_forests(und.edges, k)
     return UndirectedGraph(und.n, [(e.tail, e.head) for e in kept])
 
 

@@ -289,10 +289,16 @@ def test_figure_graph_regression():
     classes = dec.as_sorted()
     assert tuple(sorted(meta["core"])) in classes
     assert sum(1 for c in classes if len(c) == 1) == 3
-    # decomposing the sparse certificate alone loses the core
-    cert = sparse_certificate(und, 3)
+    # decomposing the sparse certificate alone loses a class: here the
+    # class {2, ..., 6}, whose certificate drops the edge (4, 6)
+    thinned = UndirectedGraph(6, [(3, 6), (1, 5), (4, 5), (2, 6), (1, 6),
+                                  (3, 4), (2, 4), (2, 5), (3, 5), (2, 3),
+                                  (4, 6)])
+    assert (2, 3, 4, 5, 6) in mkecs_undirected(
+        thinned, 3, random.Random(0)).as_sorted()
+    cert = sparse_certificate(thinned, 3)
     naive = baseline_mkecs_undirected(cert, 3)
-    assert all(len(c) < 4 for c in naive.as_sorted())
+    assert all(len(c) < 5 for c in naive.as_sorted())
     # yet the certificate preserves every cut value up to k on small graphs
     rng = random.Random(8008)
     for _ in range(40):

@@ -153,6 +153,9 @@ def test_experiment_command(tmp_path):
     ({"experiment": "detect_edge", "seed": 1, "trials": 1,
       "instance": {"family": "cycle_union"}, "task": {"k": 1}}, "'delta'"),
     ([1, 2], "not an object"),
+    ({"experiment": "detect_edge", "seed": 1, "trials": -2,
+      "instance": {"family": "cycle_union"}, "task": {"k": 1, "delta": 2}},
+     "trials must be non-negative"),
 ])
 def test_malformed_experiment_config_exits_2(tmp_path, config, message):
     cfg = tmp_path / "cfg.json"

@@ -100,3 +100,19 @@ def test_vertex_bound_is_the_vertex_detector_budget_per_repetition():
     bound = run_experiment(config)["aggregates"]["processed_bound"]
     assert bound == vertex_cut.trial_edge_bound(2, 7) \
         * edge_cut.repetitions_for(0.9)
+
+
+@pytest.mark.parametrize("kind", ["detect_edge", "detect_vertex"])
+@pytest.mark.parametrize("family,params,size", [
+    ("figure_shape", {}, 7), ("clique_union", {"count": 2, "size": 4}, 4)])
+def test_undirected_families_run_on_their_antiparallel_pairs(kind, family,
+                                                             params, size):
+    config = {"experiment": kind, "seed": 2, "trials": 3,
+              "instance": {"family": family, "params": params},
+              "task": {"k": 2, "delta": 8, "p": 0.9}}
+    report = run_experiment(config)
+    assert report["aggregates"]["max_processed"] \
+        <= report["aggregates"]["processed_bound"]
+    # the component of the start has nothing leaving it, in both
+    # orientations, and fits the budget
+    assert [rec["members"] for rec in report["trials"]] == [size] * 3

@@ -115,19 +115,29 @@ def test_certificate_size_and_cut_preservation():
                     assert min(full, k) == min(kept, k)
 
 
+# a class {2, ..., 6} whose 3-forest certificate drops the edge (4, 6)
+THINNED_CLASS = [(3, 6), (1, 5), (4, 5), (2, 6), (1, 6), (3, 4), (2, 4),
+                 (2, 5), (3, 5), (2, 3), (4, 6)]
+
+
 def test_figure_shape_certificate_drops_a_core_edge():
-    und, meta = figure_shape()
+    und = UndirectedGraph(6, THINNED_CLASS)
+    core = {2, 3, 4, 5, 6}
+    assert tuple(sorted(core)) in baseline_mkecs_undirected(und, 3).as_sorted()
     cert = sparse_certificate(und, 3)
-    assert cert.m == 11
+    assert cert.m == 10
     dropped = ({(e.tail, e.head) for e in und.edges}
                - {(e.tail, e.head) for e in cert.edges})
     assert len(dropped) == 1
     (a, b), = dropped
-    assert {a, b} <= meta["core"]
-    # the certificate alone no longer contains a 3-edge-connected core
+    assert {a, b} <= core
+    # the certificate alone no longer contains the 3-edge-connected class
     naive = baseline_mkecs_undirected(cert, 3)
-    assert all(len(c) == 1 for c in naive.classes)
-    # the shipped procedure still reports the core exactly
+    assert all(len(c) < len(core) for c in naive.classes)
+    # the shipped procedure still reports it exactly
+    assert mkecs_undirected(und, 3, random.Random(0)) \
+        == baseline_mkecs_undirected(und, 3)
+    und, meta = figure_shape()
     dec = mkecs_undirected(und, 3, random.Random(0))
     assert dec == baseline_mkecs_undirected(und, 3)
     assert tuple(sorted(meta["core"])) in dec.as_sorted()
