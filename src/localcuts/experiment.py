@@ -45,25 +45,30 @@ def run_experiment(config):
       task: detector parameters (k, delta, and for detect_vertex: p,
             symmetric)
       start: start vertex (default 1)
-    A config that is not an object or lacks a key raises ValueError.
+    A config that is not an object, lacks a key, or gives seed, trials,
+    k, delta or start as anything but an integer raises ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("config is not an object")
     try:
         kind = config["experiment"]
-        seed = int(config["seed"])
-        trials = int(config["trials"])
+        seed, trials = config["seed"], config["trials"]
         task, inst = config["task"], config["instance"]
-        k, delta, family = int(task["k"]), int(task["delta"]), inst["family"]
+        k, delta, family = task["k"], task["delta"], inst["family"]
     except KeyError as exc:
         raise ValueError("config has no key %s" % exc) from None
     except TypeError as exc:
         raise ValueError("malformed config: %s" % exc) from None
     if kind not in ("detect_edge", "detect_vertex"):
         raise ValueError("unknown experiment kind %r" % (kind,))
+    start = config.get("start", 1)
+    for name, value in (("seed", seed), ("trials", trials), ("k", k),
+                        ("delta", delta), ("start", start)):
+        # JSON true is a Python bool, which int() would take as 1
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("%s must be an integer, got %r" % (name, value))
     if trials < 0:
         raise ValueError("trials must be non-negative, got %d" % trials)
-    start = int(config.get("start", 1))
 
     t0 = time.perf_counter()
     records = []

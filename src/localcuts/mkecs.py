@@ -24,13 +24,19 @@ piece is unchanged and its first cut is reused.  So detection runs no
 more often than with no search first, and the global searches are one
 per piece plus at most one for each piece whose local phase carves.
 
-Detection starts from every vertex once; after a carve or a global cut
-it is retried only from endpoints of the removed edges, as in the
-peeling scheme of Chechik, Hansen, Italiano, Loitzenbauer and
-Parotsidis (SODA 2017).  A piece that becomes small after a cut must
-hold the tail of a removed edge, or both ends of one, since only removed
-edges lower its out-degree.  The global phase decides exactly, so no
-class depends on which vertices are queued.
+Detection takes its starts from the vertices of a piece, lowest
+out-degree first, where sides with few leaving edges are likely; after a
+carve or a global cut it is retried only from endpoints of the removed
+edges, as in the peeling scheme of Chechik, Hansen, Italiano,
+Loitzenbauer and Parotsidis (SODA 2017).  A piece that becomes small
+after a cut must hold the tail of a removed edge, or both ends of one,
+since only removed edges lower its out-degree.  The local phase is
+charged against the global work it replaces: one capped flow on the
+graph that detection reads scans its arcs k times, and each carve saves
+one global search, so the phase stops popping starts once its
+detections have processed more than one flow's worth of edges for each
+carve so far plus one.  The global phase decides exactly, so no class
+depends on which vertices are queued or where the phase stops.
 
 Detection reads a piece in one orientation while it is balanced, with
 in-degree equal to out-degree at every vertex.  There every vertex set
@@ -204,7 +210,13 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
     """Local phase on one piece: carve off what the detector finds.
     Returns the carved components, each with its inner edges, and the
     live vertices and edges.  Detection starts from the vertices of
-    `queue` and from the endpoints of edges that later carves remove.
+    `queue`, by out-degree on the graph it reads, lowest first, and then
+    from the endpoints of edges that later carves remove.  Each start's
+    detections add the edges they process to the phase's spend, and no
+    start is popped once the spend passes 2k|read| (one flow capped at
+    k augmenting searches over the 2|read| arcs, `read` the graph
+    detection reads when the phase begins) times one plus the carves so
+    far.  The first start always runs.
 
     A directed piece (`cert` None) is read on its live edges, forward,
     and backward only while they are unbalanced: on a balanced graph
@@ -229,24 +241,30 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
     live = set(vertices)
     carved = []
     balanced = cert is not None or _balanced(edges)
-    worklist = deque(sorted(queue))
+    read = edges if cert is None else cert
+    out_degree = Counter(e.tail for e in read)
+    worklist = deque(sorted(queue, key=lambda v: (out_degree[v], v)))
     queued = set(worklist)
+    # one capped flow scans the 2|read| arcs k times; each carve earns one
+    flow_cost = 2 * k * len(read)
+    spent = 0
     # the detection graphs change only on a carve
     fwd = bwd = None
-    while worklist:
+    while worklist and spent <= flow_cost * (1 + len(carved)):
         s = worklist.popleft()
         queued.discard(s)
         if s not in live:
             continue
         if fwd is None:
-            fwd = Graph(n_max, [(e.tail, e.head)
-                                for e in (edges if cert is None else cert)])
+            fwd = Graph(n_max, [(e.tail, e.head) for e in read])
         res = detect_component_param(fwd, s, kd, delta, p, rng)
+        spent += res.edges_processed
         forward = True
         if not res and not balanced:
             if bwd is None:
                 bwd = reverse_graph(fwd)
             res = detect_component_param(bwd, s, kd, delta, p, rng)
+            spent += res.edges_processed
             forward = False
         members = set(res.members)
         if not members:
@@ -277,9 +295,8 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
         carved.append((members, inner))
         live -= members
         edges = rest
-        if cert is not None:
-            cert = [e for e in cert
-                    if e.tail not in members and e.head not in members]
+        read = edges if cert is None else [
+            e for e in read if e.tail not in members and e.head not in members]
         fwd = bwd = None
         balanced = balanced and not any(frontier.values())
         for v in sorted(frontier):

@@ -116,3 +116,19 @@ def test_undirected_families_run_on_their_antiparallel_pairs(kind, family,
     # the component of the start has nothing leaving it, in both
     # orientations, and fits the budget
     assert [rec["members"] for rec in report["trials"]] == [size] * 3
+
+
+@pytest.mark.parametrize("where,key,value", [
+    (None, "seed", 2.7), (None, "seed", True), (None, "seed", "7"),
+    (None, "trials", 2.7), (None, "trials", True), (None, "trials", None),
+    ("task", "k", 1.5), ("task", "k", False),
+    ("task", "delta", 6.0), ("task", "delta", True),
+    (None, "start", 1.2), (None, "start", True)])
+def test_non_integer_counts_are_rejected(where, key, value):
+    config = dict(EDGE_CONFIG, trials=2)
+    if where is None:
+        config[key] = value
+    else:
+        config[where] = dict(config[where], **{key: value})
+    with pytest.raises(ValueError, match="%s must be an integer" % key):
+        run_experiment(config)
