@@ -33,13 +33,15 @@ that does not hands the same PairCuts to the sampled steps.
 The search has one failure budget.  It probes each threshold once, at
 most P = 2 ceil(log2 n) probes, and each probe samples at constant
 c + log_n P, so a union bound over the probes gives: the returned kappa
-is wrong with probability at most n^-c + P * n^-3, the second term for
-the sweep's detections, each amplified to 1 - n^-3, and P counting the
-sampled probes only, since an exact probe cannot err.  Neither stopping
-rule adds to it: a probe decided by its flows cannot err, and a small
-side whose first hit vertex is skipped had that vertex fail one
-amplified detection at a budget where the side qualified.  A returned
-cut is always a valid witness.
+is wrong with probability at most n^-c + P * max(n^-3, 2^-53), the
+second term for the sweep's detections, each amplified to 1 - n^-3
+(`edge_cut.high_probability`; from n = 2^18 on, where 1 - n^-3 rounds
+to 1.0 in a float, the failure is floored at 2^-53, so at most 53
+trials), and P counting the sampled probes only, since an exact probe
+cannot err.  Neither stopping rule adds to it: a probe decided by its
+flows cannot err, and a small side whose first hit vertex is skipped had
+that vertex fail one amplified detection at a budget where the side
+qualified.  A returned cut is always a valid witness.
 """
 
 import dataclasses
@@ -249,7 +251,7 @@ def _sampled_probe_cost(g, k, delta_star, c):
     """
     n = g.n
     pair_step = 4 * _pair_draws(g, delta_star, c) * k * 2 * (n + g.m)
-    trials = 2 * n * edge_cut.repetitions_for(1.0 - 1.0 / n ** 3)
+    trials = 2 * n * edge_cut.repetitions_for(edge_cut.high_probability(n))
     return pair_step + trials * vertex_cut.trial_edge_bound(k - 1,
                                                             delta_star)
 
@@ -312,7 +314,7 @@ def local_sweep_step(g, k, delta_star, c, rng):
     if m == 0 or n < 2:
         return None
     grev = reverse_graph(g)
-    p = 1.0 - 1.0 / n ** 3
+    p = edge_cut.high_probability(n)
     kd = k - 1
     last = {}           # (vertex, orientation) -> (budget, result)
     level = 0

@@ -220,10 +220,18 @@ def detect_component(g, s, k, delta, rng):
 
 
 def repetitions_for(p):
-    """Fewest trials t >= 1 with 1 - 2^-t >= p (per-trial success 1/2)."""
+    """Fewest trials t >= 1 with 1 - 2^-t >= p (per-trial success 1/2);
+    exact at p = 1 - 2^-t, where 1 - p is a power of two."""
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
-    return max(1, math.ceil(math.log(1.0 / (1.0 - p), 2.0)))
+    return max(1, math.ceil(-math.log2(1.0 - p)))
+
+
+def high_probability(n):
+    """Success target 1 - n^-3 of a detection on n vertices, its failure
+    probability floored at 2^-53: from n = 2^18 on, 1 - n^-3 rounds to
+    1.0 in a float, and the floor keeps it at most 53 trials."""
+    return 1.0 - max(1.0 / n ** 3, 2.0 ** -53)
 
 
 def detect_component_param(g, s, k, delta, p, rng):

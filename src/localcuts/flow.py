@@ -7,7 +7,9 @@ leaving node u.  Every s-t query on the graph reuses it: the query
 copies the base capacities, runs at most `limit` augmentations and reads
 the side residual-reachable from s.  Each augmenting path is searched in
 stack order and the search stops once the sink is discovered, so a
-query costs at most `limit` searches of O(m) each.
+query costs at most `limit` searches of O(m) each.  The network counts
+in `scans` the arcs its searches read, over every query on it: a search
+reads the whole arc list of each node it pops.
 
 Below the limit the flow is a maximum flow, and the residual-reachable
 source side is the same for every maximum flow, so an answer depends
@@ -44,9 +46,10 @@ class Network:
     """Flat residual network over nodes 0..nodes-1, or over the node ids
     of `nodes` when it is a collection rather than a count, with one arc
     tails[i] -> heads[i] of capacity caps[i] for each i: arc 2i, whose
-    reverse is arc 2i + 1."""
+    reverse is arc 2i + 1.  `scans` counts the arcs its augmenting
+    searches have read."""
 
-    __slots__ = ("head", "cap", "arcs")
+    __slots__ = ("head", "cap", "arcs", "scans")
 
     def __init__(self, nodes, tails, heads, caps):
         m2 = 2 * len(tails)
@@ -63,6 +66,7 @@ class Network:
             arcs[u].append(2 * i)
             arcs[v].append(2 * i + 1)
         self.arcs = arcs
+        self.scans = 0
 
     def source_side(self, source, sink, limit):
         """Nodes residual-reachable from source after a maximum flow, or
@@ -71,12 +75,14 @@ class Network:
             return None
         head, arcs = self.head, self.arcs
         cap = self.cap[:]
-        flow = 0
+        flow = scans = 0
         while True:
             via = {source: -1}      # node -> arc it was reached by
             stack = [source]
             while stack:
-                for a in arcs[stack.pop()]:
+                out = arcs[stack.pop()]
+                scans += len(out)
+                for a in out:
                     if cap[a]:
                         v = head[a]
                         if v not in via:
@@ -85,9 +91,11 @@ class Network:
                 if sink in via:
                     break
             else:
+                self.scans += scans
                 return via
             flow += 1
             if flow >= limit:
+                self.scans += scans
                 return None
             v = sink
             while v != source:

@@ -31,12 +31,16 @@ edges, as in the peeling scheme of Chechik, Hansen, Italiano,
 Loitzenbauer and Parotsidis (SODA 2017).  A piece that becomes small
 after a cut must hold the tail of a removed edge, or both ends of one,
 since only removed edges lower its out-degree.  The local phase is
-charged against the global work it replaces: one capped flow on the
-graph that detection reads scans its arcs k times, and each carve saves
-one global search, so the phase stops popping starts once its
-detections have processed more than one flow's worth of edges for each
-carve so far plus one.  The global phase decides exactly, so no class
-depends on which vertices are queued or where the phase stops.
+charged against the global work it replaces, per detection trial.  Its
+credit starts at the arcs the piece's cut search scanned (`flow.Network`
+counts them), at most one capped flow on the graph that detection reads,
+k searches over its arcs; each carve saves one global search and earns
+one such flow.  A start is popped only while the credit left covers one
+trial at the detector's edge bound, and its detection runs only the
+trials that credit covers, at least one and at most those of a 1 - n^-3
+success target.  The first start always runs.  The global phase decides
+exactly, so no class depends on which vertices are queued, how many
+trials they run or where the phase stops.
 
 Detection reads a piece in one orientation while it is balanced, with
 in-degree equal to out-degree at every vertex.  There every vertex set
@@ -64,7 +68,8 @@ import math
 from collections import Counter, deque
 
 from . import flow
-from .edge_cut import detect_component_param, round_budget
+from .edge_cut import (detect_component_param, high_probability,
+                       repetitions_for, round_budget, trial_edge_bound)
 from .graph import (Graph, UndirectedGraph, bidirect, components,
                     reverse_graph, scan_first_forests)
 
@@ -73,6 +78,8 @@ from .graph import (Graph, UndirectedGraph, bidirect, components,
 class EdgeCut:
     side: frozenset
     cut_edges: tuple
+    # arcs the augmenting searches of the cut search read, up to this cut
+    arc_scans: int = dataclasses.field(default=0, compare=False)
 
 
 @dataclasses.dataclass
@@ -113,6 +120,7 @@ def _cut_below(vertices, edges, k):
     is proven both ways.  So only flows from the root run there, at
     most one per vertex, and the first cut is unchanged: a cut from v
     to the root means one from the root to v, which is flowed first.
+    The cut carries the arcs its search scanned (`EdgeCut.arc_scans`).
     """
     if len(vertices) <= 1:
         return None
@@ -132,7 +140,7 @@ def _cut_below(vertices, edges, k):
                 res = flow.st_edge_cut_below(n_max, edges, s, t, k, net)
                 if res is not None:
                     side, cut = res
-                    return EdgeCut(frozenset(side), tuple(cut))
+                    return EdgeCut(frozenset(side), tuple(cut), net.scans)
             proven.add(v)
     return None
 
@@ -206,17 +214,24 @@ def _certificate(arcs, k):
             for a in (e, b)]
 
 
-def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
+def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
     """Local phase on one piece: carve off what the detector finds.
     Returns the carved components, each with its inner edges, and the
     live vertices and edges.  Detection starts from the vertices of
     `queue`, by out-degree on the graph it reads, lowest first, and then
-    from the endpoints of edges that later carves remove.  Each start's
-    detections add the edges they process to the phase's spend, and no
-    start is popped once the spend passes 2k|read| (one flow capped at
-    k augmenting searches over the 2|read| arcs, `read` the graph
-    detection reads when the phase begins) times one plus the carves so
-    far.  The first start always runs.
+    from the endpoints of edges that later carves remove.
+
+    The phase is charged per detection trial.  Its credit starts at
+    min(scans, 2k|read|): the arcs the piece's cut search scanned, at
+    most one flow capped at k augmenting searches over the 2|read| arcs
+    (`read` the graph detection reads when the phase begins).  Each
+    carve adds 2k|read|, and detections spend the edges they process.
+    A start is popped only while the credit left covers one trial at
+    `trial_edge_bound(kd, delta)`, and each of its detections runs the
+    t trials that the credit left then covers, at least one and at most
+    the count for success 1 - n^-3, as the target p = 1 - 2^-t.  The
+    first start always runs.  So a phase spends at most its credit plus
+    one trial bound per orientation it reads.
 
     A directed piece (`cert` None) is read on its live edges, forward,
     and backward only while they are unbalanced: on a balanced graph
@@ -237,7 +252,8 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
     leaving edges, in the orientation it was found in, on the live edges
     before it is removed."""
     n_max = max(vertices)
-    p = 1.0 - 1.0 / max(2, len(vertices)) ** 3
+    most = repetitions_for(high_probability(max(2, len(vertices))))
+    trial = trial_edge_bound(kd, delta)
     live = set(vertices)
     carved = []
     balanced = cert is not None or _balanced(edges)
@@ -245,26 +261,37 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
     out_degree = Counter(e.tail for e in read)
     worklist = deque(sorted(queue, key=lambda v: (out_degree[v], v)))
     queued = set(worklist)
-    # one capped flow scans the 2|read| arcs k times; each carve earns one
+    # one capped flow scans the 2|read| arcs k times; each carve earns
+    # one, and the credit starts at the cut search's scans if fewer
     flow_cost = 2 * k * len(read)
+    credit = min(scans, flow_cost)
     spent = 0
+
+    def detect(g, s):
+        """Detection from s running the trials the credit left covers."""
+        nonlocal spent
+        t = min(most, max(1, (credit - spent) // trial))
+        res = detect_component_param(g, s, kd, delta, 1.0 - 2.0 ** -t, rng)
+        spent += res.edges_processed
+        return res
+
     # the detection graphs change only on a carve
     fwd = bwd = None
-    while worklist and spent <= flow_cost * (1 + len(carved)):
+    first = True
+    while worklist and (first or credit - spent >= trial):
         s = worklist.popleft()
         queued.discard(s)
         if s not in live:
             continue
+        first = False
         if fwd is None:
             fwd = Graph(n_max, [(e.tail, e.head) for e in read])
-        res = detect_component_param(fwd, s, kd, delta, p, rng)
-        spent += res.edges_processed
+        res = detect(fwd, s)
         forward = True
         if not res and not balanced:
             if bwd is None:
                 bwd = reverse_graph(fwd)
-            res = detect_component_param(bwd, s, kd, delta, p, rng)
-            spent += res.edges_processed
+            res = detect(bwd, s)
             forward = False
         members = set(res.members)
         if not members:
@@ -293,6 +320,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng):
         # the component is carved off: crossing edges vanish, it is
         # decomposed on its own, and the frontier is re-examined
         carved.append((members, inner))
+        credit += flow_cost
         live -= members
         edges = rest
         read = edges if cert is None else [
@@ -335,7 +363,7 @@ def _local(pieces, k, delta, rng, undirected):
             classes.append(frozenset(vertices))
             continue
         carved, live, live_edges = _carve(vertices, edges, cert, queue, k,
-                                          kd, delta, rng)
+                                          kd, delta, rng, cut.arc_scans)
         if carved:
             stack += [(comp, inner, set())
                       for comp, inner in carved + _pieces(live, live_edges)]
