@@ -448,10 +448,12 @@ def fallback_exact(g, pairs=None):
     return _even_scheme(g, pairs or PairCuts())
 
 
-def _even_scheme(g, pairs, budget=None):
+def _even_scheme(g, pairs, budget=None, below=None):
     """fallback_exact's (kappa, witness) on `pairs`; with a budget, None
     as soon as the arc scans charged to `pairs` (`PairCuts.spent`) in
-    this run pass it."""
+    this run pass it.  With `below`, best starts at min(below, n - 1)
+    instead of n - 1: the run returns a cut of fewer vertices than that
+    when one exists, and that value with no witness otherwise."""
     n = g.n
     if n <= 1:
         return 0, None
@@ -461,7 +463,7 @@ def _even_scheme(g, pairs, budget=None):
     adjacent = set(g.pairs())
     stop = math.inf if budget is None else pairs.spent + budget
     order = list(g.vertices())
-    best = n - 1
+    best = n - 1 if below is None else min(below, n - 1)
     best_cut = None
     for i, v in enumerate(order):
         if i >= best:

@@ -42,12 +42,13 @@ success target.  The first start always runs.  The global phase decides
 exactly, so no class depends on which vertices are queued, how many
 trials they run or where the phase stops.
 
-Detection reads a piece in one orientation while it is balanced, with
-in-degree equal to out-degree at every vertex.  There every vertex set
-has as many edges entering as leaving, so a backward detection would
-look for the sets the forward one has just ruled out; the cut search
-flows only from its root for the same reason.  An unbalanced piece is
-also read backward, from each start whose forward detection failed.
+Detection reads a piece in one orientation while its live edges are
+balanced, with in-degree equal to out-degree at every vertex.  There
+every vertex set has as many edges entering as leaving, so a backward
+detection would look for the sets the forward one has just ruled out;
+the cut search flows only from its root for the same reason.  While the
+live edges are unbalanced, a piece is also read backward, from each
+start whose forward detection failed; a carve can balance them again.
 
 One local driver serves both kinds of graph.  An undirected graph
 enters as its antiparallel pairs (`bidirect`: edge i becomes arcs 2i and
@@ -146,7 +147,10 @@ def _cut_below(vertices, edges, k):
 
 
 def global_edge_cut_below(g, k):
-    """Cut with at most k-1 edges in a strongly connected graph, or None."""
+    """Cut with at most k-1 edges leaving a proper vertex set of g, or
+    None.  g need not be strongly connected: a flow to a vertex the root
+    does not reach, or from one that does not reach it, returns a cut
+    with no edges."""
     return _cut_below(set(g.vertices()), g.edges, k)
 
 
@@ -237,11 +241,14 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
     and backward only while they are unbalanced: on a balanced graph
     (`_balanced`) every vertex set has as many edges entering as
     leaving, so the backward detector looks for the same sets as the
-    forward one, at the same success level, as in `_cut_below`.  A
-    carve keeps the live edges balanced exactly when each frontier
-    vertex loses as many in- as out-edges, which the partition pass
-    counts; once unbalanced, they count as such for the rest of the
-    call.
+    forward one, at the same success level, as in `_cut_below`.  Each
+    live vertex keeps its out-degree minus its in-degree; a carve drops
+    its members' and lowers each frontier vertex's by its out-edges
+    lost minus its in-edges lost, which the partition pass counts.  So
+    a carve that balances the live edges again ends backward detection.
+
+    A detection that returns every live vertex has no proper side: it
+    carves nothing, and the phase goes on to its next start.
 
     An undirected piece is read forward only on `cert`, its bidirected,
     so balanced, certificate, less the arcs at carved components.  What
@@ -256,7 +263,14 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
     trial = trial_edge_bound(kd, delta)
     live = set(vertices)
     carved = []
-    balanced = cert is not None or _balanced(edges)
+    # out-degree minus in-degree of each live vertex, and the vertices
+    # where it is not zero; the antiparallel pairs of an undirected
+    # piece have none
+    excess = Counter()
+    if cert is None:
+        excess = Counter(e.tail for e in edges)
+        excess.subtract(Counter(e.head for e in edges))
+    unbalanced = {v for v, x in excess.items() if x}
     read = edges if cert is None else cert
     out_degree = Counter(e.tail for e in read)
     worklist = deque(sorted(queue, key=lambda v: (out_degree[v], v)))
@@ -288,13 +302,13 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
             fwd = Graph(n_max, [(e.tail, e.head) for e in read])
         res = detect(fwd, s)
         forward = True
-        if not res and not balanced:
+        if not res and unbalanced:
             if bwd is None:
                 bwd = reverse_graph(fwd)
             res = detect(bwd, s)
             forward = False
         members = set(res.members)
-        if not members:
+        if not members or len(members) == len(live):
             continue
         # one pass splits the live edges: inside, outside and crossing
         inner = []
@@ -326,8 +340,13 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
         read = edges if cert is None else [
             e for e in read if e.tail not in members and e.head not in members]
         fwd = bwd = None
-        balanced = balanced and not any(frontier.values())
+        unbalanced -= members
         for v in sorted(frontier):
+            excess[v] -= frontier[v]
+            if excess[v]:
+                unbalanced.add(v)
+            else:
+                unbalanced.discard(v)
             if v not in queued:
                 worklist.append(v)
                 queued.add(v)

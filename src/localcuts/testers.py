@@ -7,21 +7,26 @@ a witness with constant probability.  Rejection always ships a witness
 that has been re-validated against the graph, so k-connected inputs are
 never rejected.
 
-Query accounting: a decision on a graph small enough for its budget
-reads the whole graph and decides exactly by capped flows.  Within one
-tester call, the first such read is charged m and later ones nothing,
-since the reverse graph has the same edges; each (orientation, vertex)
-pair is decided exactly at most once, on the one flow network the call
-builds for that orientation; and once both orientations of
-every vertex are decided and none is a Yes, the call accepts at once.
-Detector rounds are charged the queries the detector made.
+Query accounting: a detector round is charged the queries the detector
+made.  A decision on a graph small enough for its budget reads the
+whole graph instead, is charged m, and decides every vertex in both
+orientations at once with one global cut search capped at k: the root
+flows of `mkecs.global_edge_cut_below` for edges, Even's scheme with its
+best value starting at min(k, n - 1) for vertices.  A side with few
+leaving edges or out-neighbours in the reverse graph is the far side of
+a cut in g, so the search needs no second orientation, and the first
+such read ends the call: it accepts when the search finds no cut below
+k, and otherwise rejects with the cut's side as the witness, in the
+"out" orientation.  A call is charged its detector rounds and then m at
+most once.
 """
 
 import dataclasses
 import math
 
-from . import edge_cut, flow, vertex_cut
+from . import connectivity, edge_cut, vertex_cut
 from .graph import reverse_graph
+from .mkecs import global_edge_cut_below
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,134 +97,86 @@ def _effective(cfg):
     return cfg.epsilon, cfg.degree
 
 
-class _CallReads(dict):
-    """The whole-graph reads of one tester call.
-
-    Maps (orientation, vertex) to its exact decision, and keeps in
-    `nets` the flow network of each orientation read so far, so every
-    exact decision of the call in one orientation shares one network.
-    """
-
-    __slots__ = ("nets",)
-
-    def __init__(self):
-        super().__init__()
-        self.nets = {}
+def _edge_budget(k, gamma, cfg):
+    """Edge budget delta of an edge decision at component size gamma."""
+    if cfg.model == "bounded":
+        return max(1, math.ceil(gamma * cfg.degree))
+    return max(1, gamma * gamma)
 
 
-def _edge_network(g):
-    return flow.edge_flow_network(g.n, g.edges)
+def _vertex_budget(k, gamma, cfg):
+    """Volume budget delta of a vertex decision at component size gamma."""
+    if cfg.model == "bounded":
+        return max(1, math.ceil(gamma * cfg.degree))
+    return max(1, 2 * gamma * gamma * k)
 
 
-def _exact_edge(g, s, k, net):
-    """(yes, witness): is s in a proper (k-1)-edge-out component of g?
-
-    True iff some other vertex is separated from s by fewer than k
-    edges; decided by capped flows from s on `net`, g's edge network,
-    skipping those s's proven-reach set (`flow.ProvenReach`) already
-    answers.  Draws no randomness.
-    """
-    proven = flow.ProvenReach(net, s, k)
-    for t in g.vertices():
-        if t in proven:
-            continue
-        res = flow.st_edge_cut_below(g.n, g.edges, s, t, k, net)
-        if res is not None:
-            side, cut = res
-            return True, edge_cut.ComponentResult(
-                frozenset(side), tuple(cut),
-                edge_cut.internal_edge_count(g, side), g.m, 1, g.m)
-        proven.add(t)
-    return False, None
+def _reads_whole(g, k, delta):
+    """Whether a decision at budget delta reads all of g: its detector
+    rounds alone could process every edge."""
+    return g.m <= edge_cut.round_budget(k, delta)
 
 
-def _exact_vertex(g, s, k, net):
-    """(yes, witness): does a set of fewer than k vertices separate some
-    t not adjacent from s, with s on the near side?  Decided by capped
-    flows on `net`, g's vertex-split network, skipping those s's
-    proven-reach set (`flow.ProvenReach`) already answers: it holds
-    every t adjacent from s.  Draws no randomness.
-    """
-    proven = flow.ProvenReach(net, s, k, split=True)
-    for t in g.vertices():
-        if t in proven:
-            continue
-        res = flow.st_vertex_cut_at_most(g, s, t, k, net)
-        if res is None:
-            proven.add(t)
-            continue
-        left, middle, _ = res
-        return True, vertex_cut.VertexComponentResult(
-            frozenset(left), frozenset(middle),
-            vertex_cut.volume(g, left),
-            vertex_cut.symmetric_volume(g, left), g.m, 1, g.m)
-    return False, None
+def _whole_edge(g, k):
+    """(yes, witness): a proper side of g with fewer than k leaving edges,
+    from one global cut search (`mkecs.global_edge_cut_below`).  Draws no
+    randomness."""
+    cut = global_edge_cut_below(g, k)
+    if cut is None:
+        return False, None
+    return True, edge_cut.ComponentResult(
+        cut.side, cut.cut_edges, edge_cut.internal_edge_count(g, cut.side),
+        g.m, 1, g.m)
 
 
-def _read_whole(exact, network, g, s, k, reads):
-    """Exact decision of s on g with its query charge.
-
-    `reads` is the call's (table, orientation of g); a call without one
-    gets a fresh table.  The first read into a table costs g.m, and each
-    (orientation, s) in it is decided at most once.  A _CallReads table
-    builds g's network by `network(g)` once per orientation; any other
-    table gets one per decision.
-    """
-    table, orient = reads if reads is not None else ({}, None)
-    charge = 0 if table else g.m
-    key = (orient, s)
-    if key not in table:
-        nets = getattr(table, "nets", {})
-        if orient not in nets:
-            nets[orient] = network(g)
-        table[key] = exact(g, s, k, nets[orient])
-    yes, witness = table[key]
-    return yes, witness, charge
+def _whole_vertex(g, k):
+    """(yes, witness): a proper side of g whose out-neighbours outside it
+    are fewer than k, from Even's scheme with its best value starting at
+    min(k, n - 1) (`connectivity._even_scheme`).  Draws no randomness."""
+    _, cut = connectivity._even_scheme(g, connectivity.PairCuts(), below=k)
+    if cut is None:
+        return False, None
+    return True, vertex_cut.VertexComponentResult(
+        cut.left, cut.middle, vertex_cut.volume(g, cut.left),
+        vertex_cut.symmetric_volume(g, cut.left), g.m, 1, g.m)
 
 
-def local_decision_edge(g, s, k, gamma, cfg, rng, reads=None):
+def local_decision_edge(g, s, k, gamma, cfg, rng):
     """Is s in a proper (k-1)-edge-out component of about gamma vertices?
 
-    Returns (yes, witness, queries).  Small graphs are read whole and
-    decided exactly by capped flows; otherwise the local detector runs
-    at success level 5/6.  A Yes answer always comes with a component
-    that has at most k-1 leaving edges and is a proper vertex subset.
+    Returns (yes, witness, queries).  The local detector runs at success
+    level 5/6 and is charged the queries it made.  A Yes answer always
+    comes with a component that has at most k-1 leaving edges and is a
+    proper vertex subset.
 
-    A whole-graph read is charged g.m.  `reads` is the tester call's
-    (table, orientation) pair: the table records exact decisions keyed
-    by (orientation, vertex), and the orientation names the one g is in.
-    With it, only the call's first read is charged and an entry already
-    decided is returned as recorded; a _CallReads table also lends every
-    decision in one orientation the same flow network.
+    A graph small enough for the budget is read whole instead, charged
+    g.m, and decided for every vertex at once: Yes iff some proper side
+    has fewer than k leaving edges, with that side, which need not hold
+    s, as the witness.  Its complement has fewer than k entering edges,
+    so the read answers the reverse graph too.
     """
-    kd = k - 1
-    if cfg.model == "bounded":
-        delta = max(1, math.ceil(gamma * cfg.degree))
-    else:
-        delta = max(1, gamma * gamma)
-    if g.m <= edge_cut.round_budget(k, delta):
-        return _read_whole(_exact_edge, _edge_network, g, s, k, reads)
-    res = edge_cut.detect_component_param(g, s, kd, delta, 5.0 / 6.0, rng)
+    delta = _edge_budget(k, gamma, cfg)
+    if _reads_whole(g, k, delta):
+        return (*_whole_edge(g, k), g.m)
+    res = edge_cut.detect_component_param(g, s, k - 1, delta, 5.0 / 6.0, rng)
     if res and len(res.members) < g.n:
         return True, res, res.queries_used
     return False, None, res.queries_used
 
 
-def local_decision_vertex(g, s, k, gamma, cfg, rng, reads=None):
+def local_decision_vertex(g, s, k, gamma, cfg, rng):
     """Vertex analogue; budgets track volume instead of edge size.
 
-    Whole-graph reads are charged and recorded through `reads` as in
-    `local_decision_edge`.
+    A whole-graph read is charged g.m and answers for every vertex as in
+    `local_decision_edge`: Yes iff fewer than k vertices separate some
+    proper side from the rest, with that side as the witness.  The far
+    side of that separator is a side in the reverse graph, so here too
+    the read answers both orientations.
     """
-    kd = k - 1
-    if cfg.model == "bounded":
-        delta = max(1, math.ceil(gamma * cfg.degree))
-    else:
-        delta = max(1, 2 * gamma * gamma * k)
-    if g.m <= edge_cut.round_budget(k, delta):
-        return _read_whole(_exact_vertex, flow.vertex_split_network, g, s,
-                           k, reads)
-    res = vertex_cut.detect_vertex_out_component(g, s, kd, delta,
+    delta = _vertex_budget(k, gamma, cfg)
+    if _reads_whole(g, k, delta):
+        return (*_whole_vertex(g, k), g.m)
+    res = vertex_cut.detect_vertex_out_component(g, s, k - 1, delta,
                                                  5.0 / 6.0, rng)
     if res and len(res.members | res.boundary) < g.n:
         return True, res, res.queries_used
@@ -249,7 +206,7 @@ def _validated_vertex_witness(g, members, boundary, k):
             and vertex_cut.verify_vertex_out(g, members, k - 1))
 
 
-def _run_tester(g, cfg, rng, decide, validate, singleton):
+def _run_tester(g, cfg, rng, decide, budget, validate, singleton):
     # fewer than two vertices leave no proper side to reject with
     if g.n < 2:
         return TesterVerdict(True)
@@ -273,25 +230,22 @@ def _run_tester(g, cfg, rng, decide, validate, singleton):
         if validate(gg, witness):
             return TesterVerdict(False, witness, orient, queries, samples)
     grev = reverse_graph(g)
-    table = _CallReads()
     for gamma, count in doubling_schedule(cfg.k, eps, density):
+        # the first decision that reads g whole answers for every vertex
+        # in both orientations, so it ends the call
+        whole = _reads_whole(g, cfg.k, budget(cfg.k, gamma, cfg))
         for _ in range(count):
             s = rng.randint(1, g.n)
             samples += 1
             for orient, gg in (("out", g), ("in", grev)):
-                yes, witness, q = decide(gg, s, cfg.k, gamma, cfg, rng,
-                                         (table, orient))
+                yes, witness, q = decide(gg, s, cfg.k, gamma, cfg, rng)
                 queries += q
                 if yes and validate(gg, witness):
                     return TesterVerdict(False, witness, orient,
                                          queries, samples)
-            # budgets only grow with gamma, so every later decision is
-            # exact and read from the table: a full table with no Yes
-            # leaves nothing that can reject
-            if len(table) == 2 * g.n and not any(
-                    yes for yes, _ in table.values()):
-                return TesterVerdict(True, queries_used=queries,
-                                     samples_used=samples)
+                if whole:
+                    return TesterVerdict(True, queries_used=queries,
+                                         samples_used=samples)
     return TesterVerdict(True, queries_used=queries, samples_used=samples)
 
 
@@ -299,7 +253,7 @@ def test_k_edge_connectivity(g, cfg, rng):
     """One-sided tester: Accept all k-edge-connected graphs, reject
     graphs epsilon-far from k-edge-connected with probability >= 2/3."""
     return _run_tester(
-        g, cfg, rng, local_decision_edge,
+        g, cfg, rng, local_decision_edge, _edge_budget,
         lambda gg, w: _validated_edge_witness(gg, w.members, cfg.k),
         _singleton_edge)
 
@@ -307,7 +261,7 @@ def test_k_edge_connectivity(g, cfg, rng):
 def test_k_vertex_connectivity(g, cfg, rng):
     """One-sided tester for k-vertex-connectivity."""
     return _run_tester(
-        g, cfg, rng, local_decision_vertex,
+        g, cfg, rng, local_decision_vertex, _vertex_budget,
         lambda gg, w: _validated_vertex_witness(gg, w.members, w.boundary,
                                                 cfg.k),
         _singleton_vertex)

@@ -6,7 +6,8 @@ backward detection looks for the sets the forward one has just ruled
 out.  The local phase therefore reads a balanced piece forward only and
 builds no reverse graph for it; a carve that leaves some frontier vertex
 with unequal in- and out-losses makes the live graph unbalanced, and
-from then on a failed forward detection is followed by a backward one.
+while it stays so a failed forward detection is followed by a backward
+one.  A later carve may balance it again, and backward detection stops.
 """
 
 import contextlib
@@ -30,11 +31,8 @@ def detection_log():
     `reverse_graph`.  On exit, check the orientation rule."""
     real_detect = mkecs.detect_component_param
     real_reverse = mkecs.reverse_graph
-    real_carve = mkecs._carve
     reversed_graphs = []
     log = []
-    # the detections with None where a local phase starts
-    events = []
 
     def reverse(g):
         rev = real_reverse(g)
@@ -45,44 +43,32 @@ def detection_log():
         res = real_detect(g, s, *rest)
         backward = any(g is rev for rev in reversed_graphs)
         log.append((backward, g, s, bool(res.members)))
-        events.append(log[-1])
         return res
-
-    def carve(*args):
-        events.append(None)
-        return real_carve(*args)
 
     with mock.patch.object(mkecs, "reverse_graph", side_effect=reverse), \
             mock.patch.object(mkecs, "detect_component_param",
-                              side_effect=detect), \
-            mock.patch.object(mkecs, "_carve", side_effect=carve):
+                              side_effect=detect):
         yield log
-    check_orientation_rule(events)
+    check_orientation_rule(log)
 
 
 def balanced(g):
     return all(len(g.out_ids(v)) == len(g.in_ids(v)) for v in g.vertices())
 
 
-def check_orientation_rule(events):
+def check_orientation_rule(log):
     """A failed forward detection is followed by a backward one from the
-    same start exactly when some graph read forward in the same local
-    phase, this one included, was unbalanced: a carve may leave the live
-    graph balanced again, but the phase does not look."""
-    unbalanced = False
-    for i, entry in enumerate(events):
-        if entry is None:
-            unbalanced = False
-            continue
-        backward, g, s, found = entry
+    same start exactly when the live graph it read is unbalanced: a
+    carve that leaves the live graph balanced again ends backward
+    detection."""
+    for i, (backward, g, s, found) in enumerate(log):
         if backward:
-            prev_backward, _, prev_s, prev_found = events[i - 1]
+            prev_backward, _, prev_s, prev_found = log[i - 1]
             assert not prev_backward and prev_s == s and not prev_found
             continue
-        unbalanced = unbalanced or not balanced(g)
-        nxt = events[i + 1] if i + 1 < len(events) else None
+        nxt = log[i + 1] if i + 1 < len(log) else None
         followed = nxt is not None and nxt[0] and nxt[2] == s
-        assert followed == (not found and unbalanced)
+        assert followed == (not found and not balanced(g))
 
 
 def bidirected(pairs):

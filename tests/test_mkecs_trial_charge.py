@@ -10,7 +10,9 @@ plus one trial bound per orientation it reads.
 
 On a 2-link chain of c 6-cliques at k = 3 the cut search finds a cut
 of the chain in few flows, and each phase with a queue runs one
-detection, within its credit or, when that covers less, one trial.
+detection, within its credit or, when that covers less, one trial; a
+detection that returns the whole piece carves nothing and is followed
+by the next start's.
 """
 
 import contextlib
@@ -45,7 +47,8 @@ def local_phases():
                  "trial": trial_edge_bound(kd, delta),
                  "most": repetitions_for(
                      high_probability(max(2, len(vertices)))),
-                 "detections": [], "queue": queue}
+                 "detections": [], "queue": queue,
+                 "vertices": frozenset(vertices)}
         phases.append(phase)
         out = real_carve(vertices, edges, cert, queue, k, kd, delta, rng,
                          scans)
@@ -137,6 +140,10 @@ def test_clique_chain_phases_run_one_detection_within_credit(count, seed):
         assert phases
         for phase in phases:
             spent, credit = check_phase(phase)
-            assert len(phase["detections"]) == bool(phase["queue"])
+            assert bool(phase["detections"]) == bool(phase["queue"])
+            # a detection that returns the whole piece carves nothing,
+            # and only then does the phase go on to its next start
+            assert all(members == phase["vertices"]
+                       for *_, members in phase["detections"][:-1])
             # the first start runs even when its credit covers no trial
             assert spent <= max(credit, phase["trial"])

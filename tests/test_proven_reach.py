@@ -11,7 +11,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from localcuts import connectivity, flow, mkecs, testers
+from localcuts.edge_cut import verify_k_edge_out
 from localcuts.graph import Graph, reverse_graph
+from localcuts.vertex_cut import boundary_of, verify_vertex_out
 
 from test_flow_network import random_multigraph
 
@@ -219,18 +221,34 @@ def test_pair_cuts_equal_fresh_flows_on_shuffled_queries():
 
 
 def test_exact_tester_decisions_equal_the_unpruned_loops():
+    # a tester's whole-graph read decides every vertex in both
+    # orientations with one global search: it finds a side exactly when
+    # the unpruned per-vertex loop finds one from some vertex of g or of
+    # its reverse, and its side validates
     rng = random.Random(8)
     yes = 0
     for _ in range(60):
         g = random_multigraph(rng, rng.randint(2, 9))
-        for h in (g, reverse_graph(g)):
-            enet, vnet = network(h, False), network(h, True)
-            for s in h.vertices():
-                for k in (1, 2, 3, 4):
-                    want = unpruned_exact_edge(h, s, k, enet)
-                    assert testers._exact_edge(h, s, k, enet) == want
-                    yes += want[0]
-                    want = unpruned_exact_vertex(h, s, k, vnet)
-                    assert testers._exact_vertex(h, s, k, vnet) == want
-                    yes += want[0]
+        both = (g, reverse_graph(g))
+        nets = [(network(h, False), network(h, True)) for h in both]
+        for k in (1, 2, 3, 4):
+            edge = [any(unpruned_exact_edge(h, s, k, enet)[0]
+                        for s in h.vertices())
+                    for h, (enet, _) in zip(both, nets)]
+            vertex = [any(unpruned_exact_vertex(h, s, k, vnet)[0]
+                          for s in h.vertices())
+                      for h, (_, vnet) in zip(both, nets)]
+            assert edge[0] == edge[1] and vertex[0] == vertex[1]
+            found, side = testers._whole_edge(g, k)
+            assert found == edge[0]
+            if found:
+                assert 0 < len(side.members) < g.n
+                assert verify_k_edge_out(g, side.members, k - 1)
+            found, side = testers._whole_vertex(g, k)
+            assert found == vertex[0]
+            if found:
+                assert len(side.members | side.boundary) < g.n
+                assert side.boundary == boundary_of(g, side.members)
+                assert verify_vertex_out(g, side.members, k - 1)
+            yes += edge[0] + vertex[0]
     assert yes

@@ -1,7 +1,8 @@
-"""A tester call builds at most one flow network per orientation.
+"""A tester call builds at most one flow network.
 
-Every exact decision of a call reads g or its reverse, so all decisions
-in one orientation share that orientation's network.
+The first decision of a call that reads the whole graph decides it for
+every vertex in both orientations with one global cut search, and that
+search builds one network.
 """
 
 import random
@@ -41,7 +42,9 @@ def test_one_network_per_call_and_orientation(monkeypatch, run, g, k, eps,
     for seed in range(10):
         built.clear()
         v = run(g, cfg, random.Random(seed))
-        assert len(built) <= 2
+        assert len(built) <= 1
         decided += len(built)
         assert v.accepted == (g is K5)
-    assert decided
+    # every pair of K5 is adjacent, so Even's scheme has nothing to flow
+    assert bool(decided) == (g is not K5
+                             or run is testers.test_k_edge_connectivity)

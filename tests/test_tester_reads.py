@@ -1,6 +1,5 @@
-"""Query accounting of the testers: a whole-graph read is charged m once
-per call, each (orientation, vertex) is decided exactly at most once, and
-a full table of exact decisions with no Yes accepts at once."""
+"""Query accounting of the testers: a whole-graph read is charged m, and
+the first one decides the call for every vertex in both orientations."""
 
 import random
 from unittest import mock
@@ -46,20 +45,24 @@ def test_no_early_accept_while_a_decision_is_yes():
 
 
 def test_local_decisions_without_table_charge_every_read():
+    # a local decision on a graph within its budget reads the graph whole
+    # and is charged m every time; it answers for every vertex, so on K5
+    # without the arc 1 -> 2 at k = 4 each start gets the same witness
     g = Graph(5, [(a, b) for a in range(1, 6)
                   for b in range(1, 6) if a != b])
+    h = Graph(5, [(a, b) for a in range(1, 6) for b in range(1, 6)
+                  if a != b and (a, b) != (1, 2)])
     cfg = testers.TesterConfig(3, 0.3, "bounded", 4.0, g.n, g.m)
     for decide in (testers.local_decision_edge,
                    testers.local_decision_vertex):
-        for _ in range(2):
-            assert decide(g, 1, 3, 1, cfg, random.Random(0)) == \
+        for s in g.vertices():
+            assert decide(g, s, 3, 1, cfg, random.Random(0)) == \
                 (False, None, g.m)
-        table = {}
-        charges = [decide(g, 1, 3, 1, cfg, random.Random(0),
-                          (table, orient))[2]
-                   for orient in ("out", "in", "out")]
-        assert charges == [g.m, 0, 0]
-        assert table == {("out", 1): (False, None), ("in", 1): (False, None)}
+        answers = [decide(h, s, 4, 1, cfg, random.Random(0))
+                   for s in h.vertices()]
+        assert all(answer == answers[0] for answer in answers)
+        yes, witness, q = answers[0]
+        assert yes and q == h.m and 1 in witness.members
 
 
 def test_singleton_witness_lies_in_its_orientation():
