@@ -100,7 +100,8 @@ class PairCuts:
 
     Holds, for the graph last asked about, whether it is strongly
     connected (checked once, when first asked), its vertex-split network
-    (built when first needed) and a memo of its answers keyed by
+    (built when first needed; its sets share the network's neighbour
+    lists, `flow.Network.near`) and a memo of its answers keyed by
     (s, t, limit), so a pair already answered in the call is never
     flowed again.  Asking about another graph drops all of it.
 
@@ -468,17 +469,20 @@ def _even_scheme(g, pairs, budget=None, below=None):
     for i, v in enumerate(order):
         if i >= best:
             break
+        reach = [None, None]    # v's forward and backward sets at best
         for w in order[i + 1:]:
-            for s, t in ((v, w), (w, v)):
+            for back, s, t in ((False, v, w), (True, w, v)):
                 if (s, t) in adjacent:
                     continue
-                proven = w in pairs.proven_reach(g, v, best, s == w)
-                cut = None if proven else pairs.cut(g, s, t, best)
+                if reach[back] is None:
+                    reach[back] = pairs.proven_reach(g, v, best, back)
+                cut = None if w in reach[back] else pairs.cut(g, s, t, best)
                 if pairs.spent > stop:
                     return None
                 if cut is not None and cut.size < best:
                     best = cut.size
                     best_cut = cut
+                    reach = [None, None]
                     if best == 0:
                         return 0, best_cut
     return best, best_cut

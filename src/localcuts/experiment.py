@@ -45,8 +45,10 @@ def run_experiment(config):
       task: detector parameters (k, delta, and for detect_vertex: p,
             symmetric)
       start: start vertex (default 1)
-    A config that is not an object, lacks a key, or gives seed, trials,
-    k, delta or start as anything but an integer raises ValueError.
+    A config that is not an object, lacks a key, gives seed, trials,
+    k, delta or start as anything but an integer, p as anything but a
+    real number or symmetric as anything but a boolean raises
+    ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("config is not an object")
@@ -69,6 +71,12 @@ def run_experiment(config):
             raise ValueError("%s must be an integer, got %r" % (name, value))
     if trials < 0:
         raise ValueError("trials must be non-negative, got %d" % trials)
+    p, symmetric = task.get("p", 0.5), task.get("symmetric", False)
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise ValueError("p must be a real number, got %r" % (p,))
+    if not isinstance(symmetric, bool):
+        raise ValueError("symmetric must be a boolean, got %r"
+                         % (symmetric,))
 
     t0 = time.perf_counter()
     records = []
@@ -92,8 +100,7 @@ def run_experiment(config):
                    "processed": res.edges_processed}
         else:
             res = vertex_cut.detect_vertex_out_component(
-                g, start, k, delta, float(task.get("p", 0.5)), rng,
-                symmetric=bool(task.get("symmetric", False)))
+                g, start, k, delta, p, rng, symmetric=symmetric)
             found = bool(res)
             rec = {"trial": i, "found": found,
                    "members": len(res.members),
@@ -109,7 +116,7 @@ def run_experiment(config):
         bound = edge_cut.trial_edge_bound(k, delta)
     else:
         bound = vertex_cut.trial_edge_bound(k, delta) \
-            * edge_cut.repetitions_for(float(task.get("p", 0.5)))
+            * edge_cut.repetitions_for(p)
     lo, hi = wilson_interval(successes, trials)
     report = {
         "config": config,

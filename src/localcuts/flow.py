@@ -31,8 +31,15 @@ the rule.  One of w's k arcs from members, or one of its k distinct
 member in-neighbours, is not in C; it comes from u, and C cannot cut a
 member u off from r, so w is reached from r without C as well.  An arc
 r -> w proves w for vertex cuts alone, since C may not hold r or w.
-Each vertex joins once and then scans its arcs in the set's orientation
-once, so a set costs O(m) over its life.
+Each vertex joins a set once, and the set then reads the vertex's
+neighbours in its orientation once.  On a vertex-split network the
+neighbour list of a vertex (distinct vertices) is derived from the arc
+lists once per network and orientation, when a set first pops the
+vertex, and every later set on the network reads it: however many sets
+a caller builds on one network, their derivations scan each arc list at
+most once per orientation.  On an edge network, where callers build one
+set per orientation, each set derives its own, heads counted with
+multiplicity.
 """
 
 # Capacity of arcs that must never be cut.  One network serves queries
@@ -47,9 +54,12 @@ class Network:
     of `nodes` when it is a collection rather than a count, with one arc
     tails[i] -> heads[i] of capacity caps[i] for each i: arc 2i, whose
     reverse is arc 2i + 1.  `scans` counts the arcs its augmenting
-    searches have read."""
+    searches have read.  Only a vertex_split_network carries `near`:
+    `near[side]` maps a vertex to its neighbour list in that orientation
+    (0 forward, 1 backward), filled by the split `ProvenReach` sets on
+    the network as they pop vertices."""
 
-    __slots__ = ("head", "cap", "arcs", "scans")
+    __slots__ = ("head", "cap", "arcs", "scans", "near")
 
     def __init__(self, nodes, tails, heads, caps):
         m2 = 2 * len(tails)
@@ -111,7 +121,8 @@ class ProvenReach:
     docstring: a capped flow between the root and a member at `limit`
     would return no cut.  Edge-disjoint paths on an edge_flow_network;
     with `split`, paths disjoint in their interior vertices on a
-    vertex_split_network.  `add(v)` records a vertex a flow proved."""
+    vertex_split_network, whose neighbour lists (`Network.near`) the
+    sets on it share.  `add(v)` records a vertex a flow proved."""
 
     __slots__ = ("members", "net", "limit", "side", "split", "count")
 
@@ -122,9 +133,9 @@ class ProvenReach:
         self.count = {}
         if split:
             # an arc between the root and w leaves no vertex to cut
-            near = self._next(root) - self.members
-            self.members |= near
-            self._spread(list(near))
+            near = [w for w in self._next(root) if w != root]
+            self.members.update(near)
+            self._spread(near)
         else:
             self._spread([root])
 
@@ -142,9 +153,14 @@ class ProvenReach:
         net, side = self.net, self.side
         head = net.head
         if self.split:
-            # forward from u's out-node, backward from its in-node
-            return {head[a] >> 1 for a in net.arcs[2 * u + 1 - side]
-                    if a & 1 == side}
+            near = net.near[side]
+            nbrs = near.get(u)
+            if nbrs is None:
+                # forward from u's out-node, backward from its in-node
+                nbrs = near[u] = list({head[a] >> 1
+                                       for a in net.arcs[2 * u + 1 - side]
+                                       if a & 1 == side})
+            return nbrs
         return [head[a] for a in net.arcs[u] if a & 1 == side]
 
     def _spread(self, stack):
@@ -167,13 +183,16 @@ def vertex_split_network(g):
     a transit arc of capacity 1; each edge u -> v becomes an unbounded
     arc 2u+1 -> 2v.  A query flows from 2s+1 to 2t, so no augmenting path
     crosses the transit arc of s or t and only interior vertices are cut.
+    `near` starts empty; the split ProvenReach sets on it fill it.
     """
     vs = list(g.vertices())
     pairs = list(g.pairs())
-    return Network(2 * g.n + 2,
-                   [2 * v for v in vs] + [2 * t + 1 for t, _ in pairs],
-                   [2 * v + 1 for v in vs] + [2 * h for _, h in pairs],
-                   [1] * len(vs) + [UNBOUNDED] * len(pairs))
+    net = Network(2 * g.n + 2,
+                  [2 * v for v in vs] + [2 * t + 1 for t, _ in pairs],
+                  [2 * v + 1 for v in vs] + [2 * h for _, h in pairs],
+                  [1] * len(vs) + [UNBOUNDED] * len(pairs))
+    net.near = ({}, {})
+    return net
 
 
 def st_vertex_cut_at_most(g, s, t, k, net=None):

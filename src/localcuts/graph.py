@@ -421,10 +421,27 @@ def graph_sccs(g):
         g.vertices(), lambda v: map(g.head, g.out_ids(v)))
 
 
+def _reached(ids, end):
+    """How many vertices a walk from vertex 1 reaches, leaving v by the
+    edges `ids(v)` to their `end`."""
+    seen = {1}
+    stack = [1]
+    while stack:
+        for eid in ids(stack.pop()):
+            w = end(eid)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
+
+
 def is_strongly_connected(g):
+    """One walk forward and one backward from vertex 1, over the probe
+    protocol: g is strongly connected iff both reach every vertex."""
     if g.n <= 1:
         return True
-    return len(graph_sccs(g)) == 1
+    return (_reached(g.out_ids, g.head) == g.n
+            and _reached(g.in_ids, g.tail) == g.n)
 
 
 def components(vertices, edges, undirected=False):

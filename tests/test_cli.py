@@ -156,6 +156,19 @@ def test_experiment_command(tmp_path):
     ({"experiment": "detect_edge", "seed": 1, "trials": -2,
       "instance": {"family": "cycle_union"}, "task": {"k": 1, "delta": 2}},
      "trials must be non-negative"),
+    ({"experiment": "detect_vertex", "seed": 1, "trials": 1,
+      "instance": {"family": "cycle_union"},
+      "task": {"k": 1, "delta": 2, "p": None}}, "p must be a real number"),
+    ({"experiment": "detect_vertex", "seed": 1, "trials": 1,
+      "instance": {"family": "cycle_union"},
+      "task": {"k": 1, "delta": 2, "p": [0.9]}}, "p must be a real number"),
+    ({"experiment": "detect_vertex", "seed": 1, "trials": 1,
+      "instance": {"family": "cycle_union"},
+      "task": {"k": 1, "delta": 2, "p": "0.9"}}, "p must be a real number"),
+    ({"experiment": "detect_vertex", "seed": 1, "trials": 1,
+      "instance": {"family": "cycle_union"},
+      "task": {"k": 1, "delta": 2, "symmetric": "no"}},
+     "symmetric must be a boolean"),
 ])
 def test_malformed_experiment_config_exits_2(tmp_path, config, message):
     cfg = tmp_path / "cfg.json"

@@ -116,10 +116,10 @@ def test_fallback_builds_sets_for_its_sources_and_its_flows(monkeypatch):
 
 def test_directed_driver_checks_strong_connectivity_once(monkeypatch):
     g = Graph(12, circulant_pairs(12, 3))
-    sccs = counting(monkeypatch, graph, "strongly_connected_components")
+    checks = counting(monkeypatch, connectivity, "is_strongly_connected")
     kappa, cut = vertex_connectivity_directed(g, random.Random(0))
     assert kappa == 3 and cut.validate(g)
-    assert len(sccs) == 1
+    assert len(checks) == 1
 
 
 def test_undirected_driver_checks_each_probed_graph_at_most_once(
@@ -128,14 +128,15 @@ def test_undirected_driver_checks_each_probed_graph_at_most_once(
     for n, d in ((10, 3), (14, 2), (16, 3)):
         und = UndirectedGraph(n, circulant_pairs(n, d))
         sccs = counting(monkeypatch, graph, "strongly_connected_components")
+        checks = counting(monkeypatch, connectivity, "is_strongly_connected")
         alive = []          # probed graphs, so that their ids stay unique
         during = {}         # id of a probed graph -> checks in its probes
 
         def counted(g, *args, **kwargs):
             alive.append(g)
-            before = len(sccs)
+            before = len(checks)
             verdict = probe(g, *args, **kwargs)
-            during[id(g)] = during.get(id(g), 0) + len(sccs) - before
+            during[id(g)] = during.get(id(g), 0) + len(checks) - before
             return verdict
 
         monkeypatch.setattr(connectivity, "is_connectivity_at_least",
@@ -144,6 +145,8 @@ def test_undirected_driver_checks_each_probed_graph_at_most_once(
         monkeypatch.undo()
         assert kappa == 2 * d and cut.validate(und.to_directed())
         assert during and max(during.values()) <= 1
+        # every probed graph is a bidirected certificate of the connected
+        # input, held as strongly connected without a check
+        assert not checks
         # the input's components and the lifted witness add one each
-        assert len(sccs) <= len(during) + 2
-
+        assert len(sccs) <= 2

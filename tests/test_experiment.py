@@ -132,3 +132,28 @@ def test_non_integer_counts_are_rejected(where, key, value):
         config[where] = dict(config[where], **{key: value})
     with pytest.raises(ValueError, match="%s must be an integer" % key):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("p", None, "p must be a real number"),
+    ("p", [0.9], "p must be a real number"),
+    ("p", "0.9", "p must be a real number"),
+    ("p", True, "p must be a real number"),
+    ("symmetric", "no", "symmetric must be a boolean"),
+    ("symmetric", 1, "symmetric must be a boolean"),
+    ("symmetric", None, "symmetric must be a boolean")])
+def test_malformed_vertex_task_values_are_rejected(key, value, message):
+    config = {"experiment": "detect_vertex", "seed": 3, "trials": 2,
+              "instance": EDGE_CONFIG["instance"],
+              "task": {"k": 1, "delta": 8, "p": 0.75, key: value}}
+    with pytest.raises(ValueError, match=message):
+        run_experiment(config)
+
+
+def test_integer_p_is_a_real_number():
+    config = {"experiment": "detect_vertex", "seed": 3, "trials": 2,
+              "instance": EDGE_CONFIG["instance"],
+              "task": {"k": 1, "delta": 8, "p": 0, "symmetric": True}}
+    report = run_experiment(config)
+    assert report["aggregates"]["processed_bound"] \
+        == vertex_cut.trial_edge_bound(1, 8)
