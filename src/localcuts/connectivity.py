@@ -24,8 +24,8 @@ Even's scheme runs first.  A probe in sampling range runs it under a
 work budget equal to the code's own upper bound on the sampled probe's
 cost, in arc scans: the pair step's flows plus the sweep's detection
 trials.  The scheme is charged only for the flows it runs (searches
-times network arcs) and the proven-reach sets it builds; memo hits and
-pairs its sets prove cost nothing, so a later probe replays an
+times network arcs) and the list slots its proven-reach sets read; memo
+hits and pairs its sets prove cost nothing, so a later probe replays an
 abandoned run for free.  A run that finishes within the budget decides
 the probe exactly, and the directed search ends with its kappa; a run
 that does not hands the same PairCuts to the sampled steps.
@@ -122,8 +122,10 @@ class PairCuts:
 
     `spent` counts, across graphs, the arc scans of the work done: a
     flow is charged its augmenting searches times the network's arcs,
-    and a set the network's arcs, which bound its scans over its life.
-    Memo hits and pairs proven by a set are free.
+    and a set, when built and when a flow grows it, the list slots it
+    reads (`flow.ProvenReach.reads`): the arc lists it is the first on
+    the network to derive neighbours from, and the neighbour entries it
+    pops.  Memo hits and pairs proven by a set are free.
     """
 
     __slots__ = ("g", "strong", "net", "memo", "reach", "complete", "spent")
@@ -151,12 +153,12 @@ class PairCuts:
         built when missing."""
         self._use(g)
         key = (v, k, backward)
-        if key not in self.reach:
-            net = self._network()
-            self.reach[key] = flow.ProvenReach(net, v, k, backward,
-                                               split=True)
-            self.spent += len(net.head)
-        return self.reach[key]
+        reach = self.reach.get(key)
+        if reach is None:
+            reach = self.reach[key] = flow.ProvenReach(
+                self._network(), v, k, backward, split=True)
+            self.spent += reach.reads
+        return reach
 
     def _network(self):
         if self.net is None:
@@ -180,12 +182,17 @@ class PairCuts:
             self.spent += len(net.head) * (k if res is None
                                            else len(res[1]) + 1)
         if res is None:
-            self.proven_reach(g, s, k, False).add(t)
-            self.proven_reach(g, t, k, True).add(s)
-            for v in (s, t):
-                sets = [self.reach.get((v, k, back)) for back in (False, True)]
-                if all(r is not None and len(r.members) == g.n for r in sets):
-                    self.complete.setdefault(k, set()).add(v)
+            # each set is charged the slots it reads to grow; s and t are
+            # complete once the set grown and the other one both are
+            for v, w, back in ((s, t, False), (t, s, True)):
+                grown = self.proven_reach(g, v, k, back)
+                reads = grown.reads
+                grown.add(w)
+                self.spent += grown.reads - reads
+                if len(grown.members) == g.n:
+                    other = self.reach.get((v, k, not back))
+                    if other is not None and len(other.members) == g.n:
+                        self.complete.setdefault(k, set()).add(v)
         else:
             left, middle, right = res
             res = VertexCut(frozenset(left), frozenset(middle),
@@ -443,8 +450,9 @@ def fallback_exact(g, pairs=None):
     (w, v) when w is in v's backward set, for their flows would find no
     cut.  No set is built for a far end w unless a flow runs for it, so
     a limit costs two sets per source and at most one per flow, not 2n.
-    Skipped pairs leave best and its witness as they were, so the answer
-    is that of the plain scheme.
+    Once both of a source's sets hold every vertex, its remaining pairs
+    are not looked up at all.  Skipped pairs leave best and its witness
+    as they were, so the answer is that of the plain scheme.
     """
     return _even_scheme(g, pairs or PairCuts())
 
@@ -476,6 +484,8 @@ def _even_scheme(g, pairs, budget=None, below=None):
                     continue
                 if reach[back] is None:
                     reach[back] = pairs.proven_reach(g, v, best, back)
+                elif w in reach[back]:
+                    continue
                 cut = None if w in reach[back] else pairs.cut(g, s, t, best)
                 if pairs.spent > stop:
                     return None
@@ -485,6 +495,15 @@ def _even_scheme(g, pairs, budget=None, below=None):
                     reach = [None, None]
                     if best == 0:
                         return 0, best_cut
+                elif len(reach[back].members) == n and \
+                        reach[not back] is not None and \
+                        len(reach[not back].members) == n:
+                    # v's sets, which only a set fetch or a flow grows,
+                    # prove every pair left: no flow, set or charge
+                    break
+            else:
+                continue
+            break
     return best, best_cut
 
 

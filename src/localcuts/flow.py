@@ -122,9 +122,13 @@ class ProvenReach:
     would return no cut.  Edge-disjoint paths on an edge_flow_network;
     with `split`, paths disjoint in their interior vertices on a
     vertex_split_network, whose neighbour lists (`Network.near`) the
-    sets on it share.  `add(v)` records a vertex a flow proved."""
+    sets on it share.  `add(v)` records a vertex a flow proved.  With
+    `split`, `reads` counts the list slots the set has read: the arcs of
+    the lists it was the first to derive neighbours from, and the
+    neighbour entries it popped."""
 
-    __slots__ = ("members", "net", "limit", "side", "split", "count")
+    __slots__ = ("members", "net", "limit", "side", "split", "count",
+                 "reads")
 
     def __init__(self, net, root, limit, backward=False, split=False):
         self.net, self.limit, self.split = net, limit, split
@@ -132,6 +136,7 @@ class ProvenReach:
         self.members = {root}
         self.count = {}
         if split:
+            self.reads = 0
             # an arc between the root and w leaves no vertex to cut
             near = [w for w in self._next(root) if w != root]
             self.members.update(near)
@@ -157,9 +162,11 @@ class ProvenReach:
             nbrs = near.get(u)
             if nbrs is None:
                 # forward from u's out-node, backward from its in-node
-                nbrs = near[u] = list({head[a] >> 1
-                                       for a in net.arcs[2 * u + 1 - side]
+                arcs = net.arcs[2 * u + 1 - side]
+                self.reads += len(arcs)
+                nbrs = near[u] = list({head[a] >> 1 for a in arcs
                                        if a & 1 == side})
+            self.reads += len(nbrs)
             return nbrs
         return [head[a] for a in net.arcs[u] if a & 1 == side]
 

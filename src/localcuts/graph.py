@@ -5,11 +5,11 @@ Vertices are 1-based integers.  The id of an edge is its position,
 the base graph.  A Graph stores its edges as two flat int lists, the
 tails and the heads, next to the per-vertex incidence lists of ids.
 
-Graph, Overlay and SplitGraph (in vertex_cut) share one probe protocol:
-`out_ids(u)`/`in_ids(u)` give a vertex's incidence lists of edge ids,
-and `tail(eid)`/`head(eid)` the endpoints of an edge in the view's
-current orientation.  The detectors read only this protocol, so they
-build no Edge objects.  Edge triples are the API boundary: `g.edges`
+Graph, Overlay, LiveView and SplitGraph (in vertex_cut) share one probe
+protocol: `out_ids(u)`/`in_ids(u)` give a vertex's incidence lists of
+edge ids, and `tail(eid)`/`head(eid)` the endpoints of an edge in the
+view's current orientation.  The detectors read only this protocol, so
+they build no Edge objects.  Edge triples are the API boundary: `g.edges`
 and `g.edge(eid)` build the list of all m Edges on first use and then
 cache it on the graph.
 
@@ -200,6 +200,95 @@ def bidirect(edges):
 def reverse_graph(g):
     """Graph with every edge flipped; see Graph._reversed."""
     return g._reversed()
+
+
+class LiveView:
+    """The edges of a base graph between its live vertices, on the probe
+    protocol, for a caller that removes vertex sets one at a time.
+
+    A live vertex's `out_ids`/`in_ids` list its edges to and from live
+    vertices in the base graph's order, and a removed vertex's nothing;
+    ids are the base graph's, so `tail`/`head` are its own methods.
+    `LiveView(g)` starts with every vertex live.  `without` removes a
+    set in time linear in the degrees of the set and of the live
+    vertices next to it, and returns the view of what is left; the view
+    it is called on keeps answering as before, from the lists that were
+    replaced, so a caller may hold every view it made.  `reverse_graph`
+    works as on a Graph; a reversed view follows its view, and is not
+    removed from itself.
+    """
+
+    __slots__ = ("n", "_out", "_in", "tail", "head", "_rev", "_past")
+
+    def __init__(self, g):
+        self.n = g.n
+        self._out, self._in = list(g._out), list(g._in)
+        self.tail, self.head = g.tail, g.head
+        self._rev = self._past = None
+
+    def has_vertex(self, v):
+        return 1 <= v <= self.n
+
+    def vertices(self):
+        return range(1, self.n + 1)
+
+    def out_ids(self, u):
+        return self._out[u]
+
+    def in_ids(self, u):
+        return self._in[u]
+
+    def _reversed(self):
+        """This view with every edge flipped, sharing its lists; made
+        once per view."""
+        if self._rev is None:
+            rev = self._rev = LiveView.__new__(LiveView)
+            rev.n, rev._out, rev._in = self.n, self._in, self._out
+            rev.tail, rev.head = self.head, self.tail
+        return self._rev
+
+    def without(self, members, frontier):
+        """The view with `members` removed; `frontier` must hold every
+        live vertex outside them with an edge to or from them.  Only the
+        lists of those vertices are replaced, never changed in place."""
+        out, inc, head, tail = self._out, self._in, self.head, self.tail
+        saved_out, saved_in = {}, {}
+        for v in members:
+            saved_out[v], saved_in[v] = out[v], inc[v]
+            out[v] = inc[v] = ()
+        for v in frontier:
+            saved_out[v], saved_in[v] = out[v], inc[v]
+            out[v] = [e for e in out[v] if head(e) not in members]
+            inc[v] = [e for e in inc[v] if tail(e) not in members]
+        new = LiveView.__new__(LiveView)
+        new.n, new._out, new._in = self.n, out, inc
+        new.tail, new.head, new._rev = tail, head, None
+        # this view, and its reverse, now read the replaced lists first
+        past = new._past = (_Past(saved_out, out), _Past(saved_in, inc))
+        if self._past is not None:
+            self._past[0].later, self._past[1].later = past
+        self._out, self._in = past
+        if self._rev is not None:
+            self._rev._out, self._rev._in = past[::-1]
+        return new
+
+
+class _Past:
+    """Incidence lists as a retired LiveView saw them: the lists that
+    the removal retiring it replaced, over what the next view saw."""
+
+    __slots__ = ("saved", "later")
+
+    def __init__(self, saved, later):
+        self.saved, self.later = saved, later
+
+    def __getitem__(self, v):
+        past = self
+        while isinstance(past, _Past):
+            if v in past.saved:
+                return past.saved[v]
+            past = past.later
+        return past[v]
 
 
 def load_edge_list(text):

@@ -16,13 +16,25 @@ on it.
 The order within a piece is: one global cut search, then a local phase
 only if the piece has a cut below k.  The detector returns only sets
 with fewer than k leaving edges, so on a k-edge-connected piece every
-detection would fail; such a piece is a class and runs none.  A cut
+detection would fail; such a piece is a class and runs none.  It also
+returns only sets with at most `detection_edge_bound` edges inside, on
+the graph it reads, so when both sides of the cut hold more than that
+the piece is split by the cut at once, with no detection.  A cut
 search roots its flows at a vertex of minimum degree (ties to the
 smallest id), where a small side that the local phase would carve
 shows up in the first flows.  When the local phase carves nothing the
 piece is unchanged and its first cut is reused.  So detection runs no
 more often than with no search first, and the global searches are one
 per piece plus at most one for each piece whose local phase carves.
+
+A local phase costs what it carves.  It builds the graph detection
+reads once, and detection reads it as built until the first carve.  A
+carve reads only its members' incidence lists in the piece, and from
+then on detection reads a `graph.LiveView`, in which the carve replaced
+the lists of the members and of their live neighbours.  The live edge
+list is rebuilt once, when the phase ends.  So a carve costs the
+volume of its members and their neighbours, not the piece's size, and
+a run builds a few graphs per piece, not one per carve.
 
 Detection takes its starts from the vertices of a piece, lowest
 out-degree first, where sides with few leaving edges are likely; after a
@@ -71,7 +83,7 @@ from collections import Counter, deque
 from . import flow
 from .edge_cut import (detect_component_param, high_probability,
                        repetitions_for, round_budget, trial_edge_bound)
-from .graph import (Graph, UndirectedGraph, bidirect, components,
+from .graph import (Graph, LiveView, UndirectedGraph, bidirect, components,
                     reverse_graph, scan_first_forests)
 
 
@@ -199,6 +211,17 @@ def detection_edge_bound(k, delta):
     return max(round_budget(k, delta), delta)
 
 
+def _sides_above(side, edges, bound):
+    """Both `side` and the rest hold more than `bound` of the edges."""
+    inside = outside = 0
+    for e in edges:
+        if e.tail in side:
+            inside += e.head in side
+        else:
+            outside += e.head not in side
+    return inside > bound and outside > bound
+
+
 def _split(comp, inner, removed):
     """Pieces of (comp, inner) once the edges with ids in `removed` are
     gone, each as (vertices, edges, queue): its queue holds its endpoints
@@ -250,6 +273,17 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
     A detection that returns every live vertex has no proper side: it
     carves nothing, and the phase goes on to its next start.
 
+    The graph detection reads is built at the first start and read as
+    built until the first carve.  A carve reads its members' edges from
+    the piece's incidence lists (that graph itself for a directed piece,
+    a graph of `edges` built at the first carve for an undirected one),
+    skipping edges to carved vertices.  Each carve then makes a new
+    `LiveView` of the detection graph without its members, replacing
+    the lists of the members and of the live vertices next to them; a
+    view lists the live edges in the built graph's order, so detection
+    draws as on a graph rebuilt from them.  The live edges are listed
+    once, when the phase ends.
+
     An undirected piece is read forward only on `cert`, its bidirected,
     so balanced, certificate, less the arcs at carved components.  What
     is left is a subset of the live edges and still k forests, so a set
@@ -289,8 +323,8 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
         spent += res.edges_processed
         return res
 
-    # the detection graphs change only on a carve
-    fwd = bwd = None
+    # `index`: the piece's incidence lists, ids positions in `edges`
+    fwd = bwd = index = view = None
     first = True
     while worklist and (first or credit - spent >= trial):
         s = worklist.popleft()
@@ -310,36 +344,38 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
         members = set(res.members)
         if not members or len(members) == len(live):
             continue
-        # one pass splits the live edges: inside, outside and crossing
+        if index is None:
+            index = fwd if cert is None else Graph(
+                n_max, [(e.tail, e.head) for e in edges])
+        # the members' live edges: inside and crossing
         inner = []
-        rest = []
         # per frontier vertex: out-edges lost minus in-edges lost
         frontier = Counter()
         leaving = 0
-        for e in edges:
-            tin, hin = e.tail in members, e.head in members
-            if tin and hin:
-                inner.append(e)
-            elif not tin and not hin:
-                rest.append(e)
-            else:
-                # a crossing edge leaves in the orientation of detection
-                leaving += tin == forward
-                if tin:
-                    frontier[e.head] -= 1
-                else:
-                    frontier[e.tail] += 1
+        for u in members:
+            for i in index.out_ids(u):
+                h = index.head(i)
+                if h in members:
+                    inner.append(i)
+                elif h in live:
+                    # a crossing edge leaves in the orientation of detection
+                    leaving += forward
+                    frontier[h] -= 1
+            for i in index.in_ids(u):
+                t = index.tail(i)
+                if t not in members and t in live:
+                    leaving += not forward
+                    frontier[t] += 1
         if leaving >= k:
             continue
-        # the component is carved off: crossing edges vanish, it is
-        # decomposed on its own, and the frontier is re-examined
-        carved.append((members, inner))
+        # the component is carved off, its edges in edge-list order:
+        # crossing edges vanish, it is decomposed on its own, and the
+        # frontier is re-examined
+        carved.append((members, [edges[i] for i in sorted(inner)]))
         credit += flow_cost
         live -= members
-        edges = rest
-        read = edges if cert is None else [
-            e for e in read if e.tail not in members and e.head not in members]
-        fwd = bwd = None
+        view = (view or LiveView(fwd)).without(members, frontier)
+        fwd, bwd = view, None
         unbalanced -= members
         for v in sorted(frontier):
             excess[v] -= frontier[v]
@@ -350,6 +386,8 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
             if v not in queued:
                 worklist.append(v)
                 queued.add(v)
+    if carved:
+        edges = [e for e in edges if e.tail in live and e.head in live]
     return carved, live, edges
 
 
@@ -362,11 +400,14 @@ def _local(pieces, k, delta, rng, undirected):
 
     A piece too small for the detector's cap goes to the baseline.  Any
     other piece gets one global cut search first: with no cut below k it
-    is a class and runs no detection.  Otherwise the local phase carves
-    from its queue.  If it carves, the carved components and the pieces
-    of what is left go back on the stack with empty queues, so each is
-    searched once and split by that cut.  If it carves nothing, the piece
-    is split by the first search's cut."""
+    is a class and runs no detection.  If both sides of the cut hold
+    more edges than the cap, on the graph detection reads, no detection
+    can return either, and the piece is split by the cut at once.
+    Otherwise the local phase carves from its queue.  If it carves, the
+    carved components and the pieces of what is left go back on the
+    stack with empty queues, so each is searched once and split by that
+    cut.  If it carves nothing, the piece is split by the first search's
+    cut."""
     kd = min(k, max(1, delta)) - 1
     bound = detection_edge_bound(kd, delta)
     classes = []
@@ -377,9 +418,13 @@ def _local(pieces, k, delta, rng, undirected):
             classes.extend(_baseline(vertices, edges, k))
             continue
         cert = _certificate(edges, k) if undirected else None
-        cut = _cut_below(vertices, edges if cert is None else cert, k)
+        read = edges if cert is None else cert
+        cut = _cut_below(vertices, read, k)
         if cut is None:
             classes.append(frozenset(vertices))
+            continue
+        if _sides_above(cut.side, read, bound):
+            stack += _split(vertices, edges, set(cut.cut_edges))
             continue
         carved, live, live_edges = _carve(vertices, edges, cert, queue, k,
                                           kd, delta, rng, cut.arc_scans)
