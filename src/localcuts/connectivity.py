@@ -22,10 +22,10 @@ only a success that had to be discarded is retried, at smaller budgets.
 
 Even's scheme runs first.  A probe in sampling range runs it under a
 work budget equal to the code's own upper bound on the sampled probe's
-cost, in arc scans: the pair step's flows plus the sweep's detection
-trials.  The scheme is charged only for the flows it runs (searches
-times network arcs) and the list slots its proven-reach sets read; memo
-hits and pairs its sets prove cost nothing, so a later probe replays an
+cost, in slots read: the pair step's flows plus the sweep's detection
+trials.  The scheme is charged what its flows and proven-reach sets
+read, as the split network counts it (`flow.Network.scans`); memo hits
+and pairs its sets prove read nothing, so a later probe replays an
 abandoned run for free.  A run that finishes within the budget decides
 the probe exactly, and the directed search ends with its kappa; a run
 that does not hands the same PairCuts to the sampled steps.
@@ -116,28 +116,31 @@ class PairCuts:
     set of s and the backward set of t, building them when missing.
 
     Per limit it also keeps the complete vertices: those whose forward
-    and backward sets both hold every vertex of g.  A set grows only in
-    a call that finds no cut, and there only the forward set of s and
-    the backward set of t, so only s and t are checked.
+    and backward sets both hold every vertex of g.  A set is built in
+    `proven_reach` and grows only in a call that finds no cut, so a
+    vertex is checked there, when one of its sets is built or grown.
 
-    `spent` counts, across graphs, the arc scans of the work done: a
-    flow is charged its augmenting searches times the network's arcs,
-    and a set, when built and when a flow grows it, the list slots it
-    reads (`flow.ProvenReach.reads`): the arc lists it is the first on
-    the network to derive neighbours from, and the neighbour entries it
-    pops.  Memo hits and pairs proven by a set are free.
+    `spent` is the slots read on the networks held, across graphs: their
+    `flow.Network.scans`, which count the arcs each flow's searches read
+    and the list slots each set reads.  Memo hits and pairs proven by a
+    set read nothing.
     """
 
-    __slots__ = ("g", "strong", "net", "memo", "reach", "complete", "spent")
+    __slots__ = ("g", "strong", "net", "memo", "reach", "complete", "past")
 
     def __init__(self):
-        self.g = None
-        self.spent = 0
+        self.g = self.net = None
+        self.past = 0       # the scans of networks held for other graphs
+
+    @property
+    def spent(self):
+        return self.past + (0 if self.net is None else self.net.scans)
 
     def _use(self, g, strong=None):
         """Hold g, dropping what was held for another graph; `strong`
         is g's strong connectivity when the caller already knows it."""
         if g is not self.g:
+            self.past = self.spent
             self.g, self.strong, self.net = g, strong, None
             self.memo, self.reach, self.complete = {}, {}, {}
 
@@ -157,7 +160,13 @@ class PairCuts:
         if reach is None:
             reach = self.reach[key] = flow.ProvenReach(
                 self._network(), v, k, backward, split=True)
-            self.spent += reach.reads
+            # checked in line, as in `cut`: on small graphs most sets are
+            # built whole, and a method call per build is a measurable
+            # share of a probe
+            if len(reach.members) == g.n:
+                other = self.reach.get((v, k, not backward))
+                if other is not None and len(other.members) == g.n:
+                    self.complete.setdefault(k, set()).add(v)
         return reach
 
     def _network(self):
@@ -176,19 +185,11 @@ class PairCuts:
                 s in self.reach.get((t, k, True), ()):
             res = None
         else:
-            net = self._network()
-            res = flow.st_vertex_cut_at_most(g, s, t, k, net)
-            # k searches reach the limit; f + 1 end at a cut of size f
-            self.spent += len(net.head) * (k if res is None
-                                           else len(res[1]) + 1)
+            res = flow.st_vertex_cut_at_most(g, s, t, k, self._network())
         if res is None:
-            # each set is charged the slots it reads to grow; s and t are
-            # complete once the set grown and the other one both are
             for v, w, back in ((s, t, False), (t, s, True)):
                 grown = self.proven_reach(g, v, k, back)
-                reads = grown.reads
                 grown.add(w)
-                self.spent += grown.reads - reads
                 if len(grown.members) == g.n:
                     other = self.reach.get((v, k, not back))
                     if other is not None and len(other.members) == g.n:
@@ -250,7 +251,7 @@ def _pair_draws(g, delta_star, c):
 
 
 def _sampled_probe_cost(g, k, delta_star, c):
-    """The code's upper bound, in arc scans, on a sampled probe at k.
+    """The code's upper bound, in slots read, on a sampled probe at k.
 
     The pair step runs at most 4 t_pairs flows of at most k augmenting
     searches, each over the 2(n + m) arcs of the split network, and the
@@ -381,7 +382,7 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     The sampling machinery needs k <= sqrt(m)/2 and a useful budget
     delta_star; outside that range Even's scheme (`fallback_exact`)
     decides the probe, unbudgeted.  Inside it, Even's scheme runs first
-    on `pairs` under a budget of `_sampled_probe_cost` arc scans, the
+    on `pairs` under a budget of `_sampled_probe_cost` slots read, the
     code's own upper bound on the sampled probe's cost.  Either way a
     finished run makes the probe "exact": it cannot err, and `exact`
     holds kappa(g) and its witness.
@@ -450,17 +451,18 @@ def fallback_exact(g, pairs=None):
     (w, v) when w is in v's backward set, for their flows would find no
     cut.  No set is built for a far end w unless a flow runs for it, so
     a limit costs two sets per source and at most one per flow, not 2n.
-    Once both of a source's sets hold every vertex, its remaining pairs
-    are not looked up at all.  Skipped pairs leave best and its witness
-    as they were, so the answer is that of the plain scheme.
+    Once both of a source's sets hold every vertex (`PairCuts.complete`),
+    its remaining pairs are not looked up at all.  Skipped pairs leave
+    best and its witness as they were, so the answer is that of the
+    plain scheme.
     """
     return _even_scheme(g, pairs or PairCuts())
 
 
 def _even_scheme(g, pairs, budget=None, below=None):
     """fallback_exact's (kappa, witness) on `pairs`; with a budget, None
-    as soon as the arc scans charged to `pairs` (`PairCuts.spent`) in
-    this run pass it.  With `below`, best starts at min(below, n - 1)
+    as soon as the slots read on its networks (`PairCuts.spent`) in this
+    run pass it.  With `below`, best starts at min(below, n - 1)
     instead of n - 1: the run returns a cut of fewer vertices than that
     when one exists, and that value with no witness otherwise."""
     n = g.n
@@ -495,11 +497,9 @@ def _even_scheme(g, pairs, budget=None, below=None):
                     reach = [None, None]
                     if best == 0:
                         return 0, best_cut
-                elif len(reach[back].members) == n and \
-                        reach[not back] is not None and \
-                        len(reach[not back].members) == n:
-                    # v's sets, which only a set fetch or a flow grows,
-                    # prove every pair left: no flow, set or charge
+                elif v in pairs.complete.get(best, ()):
+                    # v's sets prove every pair left: no flow, set or
+                    # charge
                     break
             else:
                 continue

@@ -7,9 +7,10 @@ leaving node u.  Every s-t query on the graph reuses it: the query
 copies the base capacities, runs at most `limit` augmentations and reads
 the side residual-reachable from s.  Each augmenting path is searched in
 stack order and the search stops once the sink is discovered, so a
-query costs at most `limit` searches of O(m) each.  The network counts
-in `scans` the arcs its searches read, over every query on it: a search
-reads the whole arc list of each node it pops.
+query costs at most `limit` searches of O(m) each.  A network meters
+its work in one unit, the slots read on it, counted in `scans` over
+every query and set on it: a search reads the whole arc list of each
+node it pops, and a set on a vertex-split network the slots below.
 
 Below the limit the flow is a maximum flow, and the residual-reachable
 source side is the same for every maximum flow, so an answer depends
@@ -37,9 +38,10 @@ neighbour list of a vertex (distinct vertices) is derived from the arc
 lists once per network and orientation, when a set first pops the
 vertex, and every later set on the network reads it: however many sets
 a caller builds on one network, their derivations scan each arc list at
-most once per orientation.  On an edge network, where callers build one
-set per orientation, each set derives its own, heads counted with
-multiplicity.
+most once per orientation.  Such a set adds to `scans` the arcs of the
+lists it derives and the neighbour entries it pops.  On an edge
+network, where callers build one set per orientation, each set derives
+its own, heads counted with multiplicity, and counts nothing.
 """
 
 # Capacity of arcs that must never be cut.  One network serves queries
@@ -53,11 +55,13 @@ class Network:
     """Flat residual network over nodes 0..nodes-1, or over the node ids
     of `nodes` when it is a collection rather than a count, with one arc
     tails[i] -> heads[i] of capacity caps[i] for each i: arc 2i, whose
-    reverse is arc 2i + 1.  `scans` counts the arcs its augmenting
-    searches have read.  Only a vertex_split_network carries `near`:
-    `near[side]` maps a vertex to its neighbour list in that orientation
-    (0 forward, 1 backward), filled by the split `ProvenReach` sets on
-    the network as they pop vertices."""
+    reverse is arc 2i + 1.  `scans` counts the slots read on it: the
+    arcs its augmenting searches read, and on a vertex-split network the
+    slots its split `ProvenReach` sets read.  Only a
+    vertex_split_network carries `near`: `near[side]` maps a vertex to
+    its neighbour list in that orientation (0 forward, 1 backward),
+    filled by the split `ProvenReach` sets on the network as they pop
+    vertices."""
 
     __slots__ = ("head", "cap", "arcs", "scans", "near")
 
@@ -123,12 +127,12 @@ class ProvenReach:
     with `split`, paths disjoint in their interior vertices on a
     vertex_split_network, whose neighbour lists (`Network.near`) the
     sets on it share.  `add(v)` records a vertex a flow proved.  With
-    `split`, `reads` counts the list slots the set has read: the arcs of
-    the lists it was the first to derive neighbours from, and the
-    neighbour entries it popped."""
+    `split`, the set adds the slots it reads to the network's `scans`:
+    the arcs of the lists it is the first to derive neighbours from, and
+    the neighbour entries it pops.  On an edge network it counts
+    nothing."""
 
-    __slots__ = ("members", "net", "limit", "side", "split", "count",
-                 "reads")
+    __slots__ = ("members", "net", "limit", "side", "split", "count")
 
     def __init__(self, net, root, limit, backward=False, split=False):
         self.net, self.limit, self.split = net, limit, split
@@ -136,7 +140,6 @@ class ProvenReach:
         self.members = {root}
         self.count = {}
         if split:
-            self.reads = 0
             # an arc between the root and w leaves no vertex to cut
             near = [w for w in self._next(root) if w != root]
             self.members.update(near)
@@ -163,10 +166,10 @@ class ProvenReach:
             if nbrs is None:
                 # forward from u's out-node, backward from its in-node
                 arcs = net.arcs[2 * u + 1 - side]
-                self.reads += len(arcs)
+                net.scans += len(arcs)
                 nbrs = near[u] = list({head[a] >> 1 for a in arcs
                                        if a & 1 == side})
-            self.reads += len(nbrs)
+            net.scans += len(nbrs)
             return nbrs
         return [head[a] for a in net.arcs[u] if a & 1 == side]
 

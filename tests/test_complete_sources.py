@@ -51,3 +51,15 @@ def test_a_source_with_complete_sets_looks_up_one_pair_at_most(monkeypatch,
     assert pairs.spent == spent.spent
     assert late, "no source's sets became complete"
     assert all(len(ws) == 1 for ws in late.values())
+
+
+@pytest.mark.parametrize("g,kappa", [
+    (circulant(12, 3), 3), (circulant(16, 2), 2), (circulant(20, 4), 4),
+], ids=["C(12,3)", "C(16,2)", "C(20,4)"])
+def test_sets_complete_when_built_are_recorded(g, kappa):
+    # the first kappa sources' sets at kappa hold every vertex, some of
+    # them already when built; each is recorded, so Even's argument holds
+    pairs = PairCuts()
+    assert fallback_exact(g, pairs)[0] == kappa
+    assert pairs.complete[kappa] == set(range(1, kappa + 1))
+    assert pairs.proves_at_least(g, kappa)

@@ -2,12 +2,13 @@
 
 The sets on one vertex-split network share its neighbour lists: a list
 is derived from the arc lists by the first set that pops its vertex,
-and later sets read it as it is.  So `PairCuts.spent` charges a set,
-when it is built and whenever a flow grows it, the arc slots of the
-lists it derives and the neighbour entries it pops, not the network's
-2(n + m) arcs per set.  Every member is popped once, so from the final
-state the sets' charge is the sum of their members' neighbour lists
-plus the arcs every derived list was read from.
+and later sets read it as it is.  So `PairCuts.spent`, the network's
+`scans`, charges a set, when it is built and whenever a flow grows it,
+the arc slots of the lists it derives and the neighbour entries it
+pops, not the network's 2(n + m) arcs per set.  Every member is popped
+once, so from the final state the sets' charge is the sum of their
+members' neighbour lists plus the arcs every derived list was read
+from, and each flow is charged the arcs its searches read.
 """
 
 import random
@@ -34,9 +35,10 @@ def run_directed(monkeypatch, g):
     real = flow.st_vertex_cut_at_most
 
     def counted(g, s, t, k, net=None):
+        scans = net.scans
         res = real(g, s, t, k, net)
-        # k searches reach the limit; f + 1 end at a cut of size f
-        flows.append(len(net.head) * (k if res is None else len(res[1]) + 1))
+        # a flow reads no set's lists, so its slots are all its own
+        flows.append(net.scans - scans)
         return res
 
     monkeypatch.setattr(connectivity, "PairCuts", Recorded)

@@ -8,14 +8,17 @@ the same set built alone on a fresh network, through the same `add`
 calls, and however many sets a network serves, each of its arc lists is
 read at most once to derive neighbours.  Edge networks, on which
 callers build one set per orientation, are held to the same members.
+`PairCuts.spent` is what a recording of the arc lists and neighbour
+lists read on its split networks recounts, across graphs.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcuts import flow
-from localcuts.connectivity import vertex_connectivity_directed
+from localcuts.connectivity import PairCuts, vertex_connectivity_directed
 from localcuts.graph import Graph
 
 
@@ -34,6 +37,18 @@ class CountedArcs(list):
 def counted(net):
     net.arcs = CountedArcs(net.arcs)
     return net.arcs.reads
+
+
+class CountedNear(dict):
+    """A neighbour-list table that records which vertex's list was read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def get(self, u, default=None):
+        self.reads.append(u)
+        return super().get(u, default)
 
 
 @st.composite
@@ -102,6 +117,53 @@ def test_sets_on_one_network_equal_sets_built_alone(case):
     if split:
         # forward reads out-nodes and backward in-nodes: one read each
         assert len(reads) == len(set(reads))
+
+
+@st.composite
+def pair_sessions(draw):
+    """Two graphs, each with a sequence of `PairCuts` calls on it: cuts
+    (s, t, limit) and set fetches (root, limit, orientation)."""
+    sessions = []
+    for _ in range(2):
+        g, ids = draw(multigraphs())
+        vertex = st.sampled_from(ids)
+        limit = st.integers(1, 4)
+        ops = draw(st.lists(st.one_of(
+            st.tuples(st.just("cut"), vertex, vertex, limit),
+            st.tuples(st.just("reach"), vertex, limit, st.booleans())),
+            max_size=12))
+        sessions.append((g, ops))
+    return sessions
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_sessions())
+def test_pair_cuts_spend_the_slots_their_networks_read(sessions):
+    build = flow.vertex_split_network
+    recounts = []
+
+    def recorded(g):
+        net = build(g)
+        arcs = net.arcs
+        reads = counted(net)
+        net.near = (CountedNear(), CountedNear())
+        # every arc list a search or a derivation read, and every
+        # neighbour list a set popped, in full
+        recounts.append(lambda: sum(len(arcs[u]) for u in reads) +
+                        sum(len(near[u]) for near in net.near
+                            for u in near.reads))
+        return net
+
+    pairs = PairCuts()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "vertex_split_network", recorded)
+        for g, ops in sessions:
+            for op in ops:
+                if op[0] == "reach":
+                    pairs.proven_reach(g, *op[1:])
+                elif op[1] != op[2]:
+                    pairs.cut(g, *op[1:])
+            assert pairs.spent == sum(recount() for recount in recounts)
 
 
 def circulant(n, d):
