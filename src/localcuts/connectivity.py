@@ -4,8 +4,9 @@ For a threshold k, every vertex cut of size below k either has a side of
 small symmetric volume (caught by running the local vertex-out detector
 from sampled edge endpoints at geometrically shrinking volume budgets)
 or both sides are voluminous (caught by max-flow between sampled edge
-endpoint pairs).  Even's scheme of capped flows decides thresholds too
-large for sampling exactly, and runs first on the others (below).  One
+endpoint pairs).  Even's scheme of capped flows (`flow.even_scheme`, on
+one `flow.PairCuts` per search) decides thresholds too large for
+sampling exactly, and runs first on the others (below).  One
 doubling plus bisection search over k finds the exact connectivity
 value of directed and undirected inputs alike; undirected ones are
 first sparsified with a scan-first-forest certificate.
@@ -47,37 +48,10 @@ qualified.  A returned cut is always a valid witness.
 import dataclasses
 import math
 
-from . import edge_cut, flow, vertex_cut
-from .graph import (UndirectedGraph, components, graph_sccs,
-                    is_strongly_connected, reverse_graph, scan_first_forests,
-                    undirected_components)
-
-
-@dataclasses.dataclass(frozen=True)
-class VertexCut:
-    left: frozenset
-    middle: frozenset
-    right: frozenset
-
-    @property
-    def size(self):
-        return len(self.middle)
-
-    def validate(self, g):
-        """Structural check: a partition, both sides nonempty, no edge L->R."""
-        union = self.left | self.middle | self.right
-        if len(union) != len(self.left) + len(self.middle) + len(self.right):
-            return False
-        if union != set(g.vertices()):
-            return False
-        if not self.left or not self.right:
-            return False
-        head = g.head
-        for u in self.left:
-            for eid in g.out_ids(u):
-                if head(eid) in self.right:
-                    return False
-        return True
+from . import edge_cut, vertex_cut
+from .flow import PairCuts, VertexCut, even_scheme
+from .graph import (UndirectedGraph, components, graph_sccs, reverse_graph,
+                    scan_first_forests, undirected_components)
 
 
 @dataclasses.dataclass
@@ -95,133 +69,6 @@ class ConnectivityVerdict:
         return self.decision == "cut_found"
 
 
-class PairCuts:
-    """Capped s-t vertex cuts asked for in one connectivity computation.
-
-    Holds, for the graph last asked about, whether it is strongly
-    connected (checked once, when first asked), its vertex-split network
-    (built when first needed; its sets share the network's neighbour
-    lists, `flow.Network.near`) and a memo of its answers keyed by
-    (s, t, limit), so a pair already answered in the call is never
-    flowed again.  Asking about another graph drops all of it.
-
-    A (vertex, limit) may keep a forward and a backward proven-reach set
-    (`flow.ProvenReach`).  A pair with t in the forward set of s, or s
-    in the backward set of t, is answered None without a flow, which is
-    the flow's own answer, so every answer equals
-    `flow.st_vertex_cut_at_most` on g.  A lookup reads only the sets
-    held.  Callers build, through `proven_reach`, the sets they expect
-    to prove pairs: the sampled step both ends of each pair, Even's
-    scheme its sources only.  An answer with no cut grows the forward
-    set of s and the backward set of t, building them when missing.
-
-    Per limit it also keeps the complete vertices: those whose forward
-    and backward sets both hold every vertex of g.  A set is built in
-    `proven_reach` and grows only in a call that finds no cut, so a
-    vertex is checked there, when one of its sets is built or grown.
-
-    `spent` is the slots read on the networks held, across graphs: their
-    `flow.Network.scans`, which count the arcs each flow's searches read
-    and the list slots each set reads.  Memo hits and pairs proven by a
-    set read nothing.
-    """
-
-    __slots__ = ("g", "strong", "net", "memo", "reach", "complete", "past")
-
-    def __init__(self):
-        self.g = self.net = None
-        self.past = 0       # the scans of networks held for other graphs
-
-    @property
-    def spent(self):
-        return self.past + (0 if self.net is None else self.net.scans)
-
-    def _use(self, g, strong=None):
-        """Hold g, dropping what was held for another graph; `strong`
-        is g's strong connectivity when the caller already knows it."""
-        if g is not self.g:
-            self.past = self.spent
-            self.g, self.strong, self.net = g, strong, None
-            self.memo, self.reach, self.complete = {}, {}, {}
-
-    def strongly_connected(self, g):
-        """Whether g is strongly connected, checked once per graph."""
-        self._use(g)
-        if self.strong is None:
-            self.strong = is_strongly_connected(g)
-        return self.strong
-
-    def proven_reach(self, g, v, k, backward):
-        """The forward (backward) proven-reach set of v at limit k,
-        built when missing."""
-        self._use(g)
-        key = (v, k, backward)
-        reach = self.reach.get(key)
-        if reach is None:
-            reach = self.reach[key] = flow.ProvenReach(
-                self._network(), v, k, backward, split=True)
-            # checked in line, as in `cut`: on small graphs most sets are
-            # built whole, and a method call per build is a measurable
-            # share of a probe
-            if len(reach.members) == g.n:
-                other = self.reach.get((v, k, not backward))
-                if other is not None and len(other.members) == g.n:
-                    self.complete.setdefault(k, set()).add(v)
-        return reach
-
-    def _network(self):
-        if self.net is None:
-            self.net = flow.vertex_split_network(self.g)
-        return self.net
-
-    def cut(self, g, s, t, k):
-        self._use(g)
-        key = (s, t, k)
-        if key in self.memo:
-            return self.memo[key]
-        if s == t:
-            raise ValueError("endpoints must differ")
-        if t in self.reach.get((s, k, False), ()) or \
-                s in self.reach.get((t, k, True), ()):
-            res = None
-        else:
-            res = flow.st_vertex_cut_at_most(g, s, t, k, self._network())
-        if res is None:
-            for v, w, back in ((s, t, False), (t, s, True)):
-                grown = self.proven_reach(g, v, k, back)
-                grown.add(w)
-                if len(grown.members) == g.n:
-                    other = self.reach.get((v, k, not back))
-                    if other is not None and len(other.members) == g.n:
-                        self.complete.setdefault(k, set()).add(v)
-        else:
-            left, middle, right = res
-            res = VertexCut(frozenset(left), frozenset(middle),
-                            frozenset(right))
-        self.memo[key] = res
-        return res
-
-    def proves_at_least(self, g, k):
-        """True when k <= n - 1 and at least k vertices of g are complete
-        at limit k: then kappa(g) >= k.
-
-        Even's argument (1975): a set C of fewer than k vertices misses
-        one of the k complete vertices, v.  If removing C left g not
-        strongly connected, some w outside C would not be reached from
-        v or would not reach v; but v's complete sets mean no fewer than
-        k vertices other than v and w separate them either way.  The
-        guard is needed because kappa is at most n - 1 by convention,
-        while a complete digraph has complete vertices at every limit.
-        """
-        return (g is self.g and k <= g.n - 1
-                and len(self.complete.get(k, ())) >= k)
-
-
-def pair_vertex_cut_at_most(g, s, t, k):
-    """Vertex cut separating s from t with fewer than k middle vertices."""
-    return PairCuts().cut(g, s, t, k)
-
-
 def _degenerate_cut(g):
     """Witness for a non-strongly-connected graph: a sink component."""
     comps = graph_sccs(g)
@@ -230,14 +77,10 @@ def _degenerate_cut(g):
     return VertexCut(frozenset(sink), frozenset(), frozenset(rest))
 
 
-def detection_volume_bound(k, delta):
-    """Symmetric-volume cap of components the sweep step can return."""
-    return vertex_cut.component_volume_bound(k, delta)
-
-
 def max_feasible_delta(k, m):
-    """Largest delta with detection_volume_bound(k-1, delta) + k^2 < m,
-    or 0 when delta = 1 fails.
+    """Largest delta with
+    vertex_cut.component_volume_bound(k-1, delta) + k^2 < m, or 0 when
+    delta = 1 fails.
 
     The bound is 2k(3 delta + k - 1), so the condition reads
     3 delta + k - 1 <= (m - k^2 - 1) // 2k.
@@ -415,8 +258,8 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
     if 2 * k > math.sqrt(m) or delta_star < 1:
         exact = fallback_exact(g, pairs)
     else:
-        exact = _even_scheme(g, pairs,
-                             _sampled_probe_cost(g, k, delta_star, c))
+        exact = even_scheme(g, pairs,
+                            _sampled_probe_cost(g, k, delta_star, c))
     if exact is not None:
         stats["mode"] = "exact"
         kappa, cut = exact
@@ -435,76 +278,11 @@ def is_connectivity_at_least(g, k, rng, c=2.0, pairs=None):
 
 
 def fallback_exact(g, pairs=None):
-    """Exact directed vertex connectivity by Even's scheme of capped flows.
-
-    A minimum separator misses one of any kappa + 1 vertices, and that
-    vertex is separated from some other vertex in one direction.  So the
-    i-th vertex (i from 0) is flowed to and from every later vertex,
-    skipping adjacent ordered pairs, while i is below the best value
-    found so far: until that value is kappa, the first kappa + 1
-    vertices all get their turn.  Returns n-1 with no witness when
-    every ordered pair is adjacent.  Flows go through `pairs`, the
-    PairCuts of the search, or a fresh one.
-
-    Only the sources hold proven-reach sets for the loop: the pair
-    (v, w) is skipped when w is in v's forward set at the current best,
-    (w, v) when w is in v's backward set, for their flows would find no
-    cut.  No set is built for a far end w unless a flow runs for it, so
-    a limit costs two sets per source and at most one per flow, not 2n.
-    Once both of a source's sets hold every vertex (`PairCuts.complete`),
-    its remaining pairs are not looked up at all.  Skipped pairs leave
-    best and its witness as they were, so the answer is that of the
-    plain scheme.
-    """
-    return _even_scheme(g, pairs or PairCuts())
-
-
-def _even_scheme(g, pairs, budget=None, below=None):
-    """fallback_exact's (kappa, witness) on `pairs`; with a budget, None
-    as soon as the slots read on its networks (`PairCuts.spent`) in this
-    run pass it.  With `below`, best starts at min(below, n - 1)
-    instead of n - 1: the run returns a cut of fewer vertices than that
-    when one exists, and that value with no witness otherwise."""
-    n = g.n
-    if n <= 1:
-        return 0, None
-    # no flow can cut an adjacent pair, so skip it before the sources'
-    # sets: on an all-adjacent graph such as K8 reading them would build
-    # two sets per source for pairs with nothing to decide
-    adjacent = set(g.pairs())
-    stop = math.inf if budget is None else pairs.spent + budget
-    order = list(g.vertices())
-    best = n - 1 if below is None else min(below, n - 1)
-    best_cut = None
-    for i, v in enumerate(order):
-        if i >= best:
-            break
-        reach = [None, None]    # v's forward and backward sets at best
-        for w in order[i + 1:]:
-            for back, s, t in ((False, v, w), (True, w, v)):
-                if (s, t) in adjacent:
-                    continue
-                if reach[back] is None:
-                    reach[back] = pairs.proven_reach(g, v, best, back)
-                elif w in reach[back]:
-                    continue
-                cut = None if w in reach[back] else pairs.cut(g, s, t, best)
-                if pairs.spent > stop:
-                    return None
-                if cut is not None and cut.size < best:
-                    best = cut.size
-                    best_cut = cut
-                    reach = [None, None]
-                    if best == 0:
-                        return 0, best_cut
-                elif v in pairs.complete.get(best, ()):
-                    # v's sets prove every pair left: no flow, set or
-                    # charge
-                    break
-            else:
-                continue
-            break
-    return best, best_cut
+    """Exact directed vertex connectivity by Even's scheme of capped flows
+    (`flow.even_scheme`): (kappa, witness), the witness None when every
+    ordered pair is adjacent.  Flows go through `pairs`, the PairCuts of
+    the search, or a fresh one."""
+    return even_scheme(g, pairs or PairCuts())
 
 
 def _kappa_search(n, graph_at, rng, c, pairs, exact_ends=False):
@@ -623,7 +401,7 @@ def vertex_connectivity_undirected(und, rng, c=2.0):
         # the first scan-first forest spans the connected input, so the
         # bidirected certificate is strongly connected without a check
         cert = scan_first_certificate(und, k).to_directed()
-        pairs._use(cert, strong=True)
+        pairs.hold(cert, strong=True)
         return cert
 
     # a certificate for k is valid for every probe up to k, so the

@@ -137,7 +137,7 @@ def _sample_path(overlay, s, res, rng):
     return _tree_path(res.tree_parent, s, end)
 
 
-def _run_detection(base, s, k, delta, rng, interior_partner=None):
+def run_detection(base, s, k, delta, rng, interior_partner=None):
     """Shared detection core: k rounds of `round_budget(k, delta)` edges,
     then a final pass that accepts at most delta; returns (members or
     None, queries, processed)."""
@@ -210,7 +210,7 @@ def detect_component(g, s, k, delta, rng):
         raise ValueError("unknown start vertex %d" % s)
     if k < 0 or delta < 0:
         raise ValueError("k and delta must be non-negative")
-    members, queries, total = _run_detection(g, s, k, delta, rng)
+    members, queries, total = run_detection(g, s, k, delta, rng)
     if members is None:
         return ComponentResult(frozenset(), (), 0, queries, 1, total)
     return ComponentResult(frozenset(members),

@@ -13,19 +13,21 @@ such stack, and a piece is searched, carved or split only when popped:
 the components a carve removes and the pieces of what is left go back
 on it.
 
-The order within a piece is: one global cut search, then a local phase
-only if the piece has a cut below k.  The detector returns only sets
-with fewer than k leaving edges, so on a k-edge-connected piece every
-detection would fail; such a piece is a class and runs none.  It also
-returns only sets with at most `detection_edge_bound` edges inside, on
-the graph it reads, so when both sides of the cut hold more than that
-the piece is split by the cut at once, with no detection.  A cut
-search roots its flows at a vertex of minimum degree (ties to the
-smallest id), where a small side that the local phase would carve
-shows up in the first flows.  When the local phase carves nothing the
-piece is unchanged and its first cut is reused.  So detection runs no
-more often than with no search first, and the global searches are one
-per piece plus at most one for each piece whose local phase carves.
+The order within a piece is: one global cut search
+(`flow.edge_cut_below`, the search `flow.global_edge_cut_below` runs on
+a whole graph), then a local phase only if the piece has a cut below k.
+The detector returns only sets with fewer than k leaving edges, so on a
+k-edge-connected piece every detection would fail; such a piece is a
+class and runs none.  It also returns only sets with at most
+`detection_edge_bound` edges inside, on the graph it reads, so when both
+sides of the cut hold more than that the piece is split by the cut at
+once, with no detection.  A cut search roots its flows at a vertex of
+minimum degree (ties to the smallest id), where a small side that the
+local phase would carve shows up in the first flows.  When the local
+phase carves nothing the piece is unchanged and its first cut is reused.
+So detection runs no more often than with no search first, and the
+global searches are one per piece plus at most one for each piece whose
+local phase carves.
 
 A local phase costs what it carves.  It builds the graph detection
 reads once, and detection reads it as built until the first carve.  A
@@ -80,19 +82,11 @@ import dataclasses
 import math
 from collections import Counter, deque
 
-from . import flow
 from .edge_cut import (detect_component_param, high_probability,
                        repetitions_for, round_budget, trial_edge_bound)
+from .flow import edge_cut_below as _cut_below
 from .graph import (Graph, LiveView, UndirectedGraph, bidirect, components,
                     reverse_graph, scan_first_forests)
-
-
-@dataclasses.dataclass(frozen=True)
-class EdgeCut:
-    side: frozenset
-    cut_edges: tuple
-    # arcs the augmenting searches of the cut search read, up to this cut
-    arc_scans: int = dataclasses.field(default=0, compare=False)
 
 
 @dataclasses.dataclass
@@ -107,63 +101,6 @@ class Decomposition:
         if not isinstance(other, Decomposition):
             return NotImplemented
         return self.k == other.k and self.as_sorted() == other.as_sorted()
-
-
-def _balanced(edges):
-    """Every vertex has as many edges entering as leaving it."""
-    return Counter(e.tail for e in edges) == Counter(e.head for e in edges)
-
-
-def _cut_below(vertices, edges, k):
-    """Directed cut (S, rest) with fewer than k edges, on a strongly
-    connected piece, or None.  Max-flow from and to a fixed root decides
-    the global minimum cut exactly; one network over the piece's own
-    vertices serves every flow.
-
-    The root is a vertex of minimum degree (ties to the smallest id) and
-    the other vertices follow in id order: a small side with fewer than
-    k leaving edges has low degrees, so the first flows usually find it.
-    A flow is skipped when the root's proven-reach set in its direction
-    already holds the other end (`flow.ProvenReach`): it would find no
-    cut, so the first cut in this order is found all the same.
-
-    On a balanced piece (`_balanced(edges)`: every bidirected piece and
-    undirected certificate) each cut has as many edges entering as
-    leaving, so lambda(r, v) = lambda(v, r), and a member of either set
-    is proven both ways.  So only flows from the root run there, at
-    most one per vertex, and the first cut is unchanged: a cut from v
-    to the root means one from the root to v, which is flowed first.
-    The cut carries the arcs its search scanned (`EdgeCut.arc_scans`).
-    """
-    if len(vertices) <= 1:
-        return None
-    balanced = _balanced(edges)
-    ordered = sorted(vertices)
-    n_max = ordered[-1]
-    net = flow.edge_flow_network(n_max, edges, ordered)
-    # a node's arc list holds one arc per edge at it, in or out
-    root = min(ordered, key=lambda v: len(net.arcs[v]))
-    fwd = flow.ProvenReach(net, root, k)
-    bwd = flow.ProvenReach(net, root, k, backward=True)
-    for v in ordered:
-        for s, t, proven, other in ((root, v, fwd, bwd), (v, root, bwd, fwd)):
-            if v in proven:
-                continue
-            if not (balanced and v in other):
-                res = flow.st_edge_cut_below(n_max, edges, s, t, k, net)
-                if res is not None:
-                    side, cut = res
-                    return EdgeCut(frozenset(side), tuple(cut), net.scans)
-            proven.add(v)
-    return None
-
-
-def global_edge_cut_below(g, k):
-    """Cut with at most k-1 edges leaving a proper vertex set of g, or
-    None.  g need not be strongly connected: a flow to a vertex the root
-    does not reach, or from one that does not reach it, returns a cut
-    with no edges."""
-    return _cut_below(set(g.vertices()), g.edges, k)
 
 
 def _pieces(vertices, edges):
@@ -262,9 +199,9 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
 
     A directed piece (`cert` None) is read on its live edges, forward,
     and backward only while they are unbalanced: on a balanced graph
-    (`_balanced`) every vertex set has as many edges entering as
+    (`flow.balanced`) every vertex set has as many edges entering as
     leaving, so the backward detector looks for the same sets as the
-    forward one, at the same success level, as in `_cut_below`.  Each
+    forward one, at the same success level, as in the cut search.  Each
     live vertex keeps its out-degree minus its in-degree; a carve drops
     its members' and lowers each frontier vertex's by its out-edges
     lost minus its in-edges lost, which the partition pass counts.  So

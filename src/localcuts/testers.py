@@ -8,25 +8,24 @@ that has been re-validated against the graph, so k-connected inputs are
 never rejected.
 
 Query accounting: a detector round is charged the queries the detector
-made.  A decision on a graph small enough for its budget reads the
-whole graph instead, is charged m, and decides every vertex in both
+made.  A decision on a graph small enough for its budget reads the whole
+graph instead, is charged m, and decides every vertex in both
 orientations at once with one global cut search capped at k: the root
-flows of `mkecs.global_edge_cut_below` for edges, Even's scheme with its
-best value starting at min(k, n - 1) for vertices.  A side with few
-leaving edges or out-neighbours in the reverse graph is the far side of
-a cut in g, so the search needs no second orientation, and the first
-such read ends the call: it accepts when the search finds no cut below
-k, and otherwise rejects with the cut's side as the witness, in the
-"out" orientation.  A call is charged its detector rounds and then m at
-most once.
+flows of `flow.global_edge_cut_below` for edges, Even's scheme
+(`flow.even_scheme`) with its best value starting at min(k, n - 1) for
+vertices.  A side with few leaving edges or out-neighbours in the
+reverse graph is the far side of a cut in g, so the search needs no
+second orientation, and the first such read ends the call: it accepts
+when the search finds no cut below k, and otherwise rejects with the
+cut's side as the witness, in the "out" orientation.  A call is charged
+its detector rounds and then m at most once.
 """
 
 import dataclasses
 import math
 
-from . import connectivity, edge_cut, vertex_cut
+from . import edge_cut, flow, vertex_cut
 from .graph import reverse_graph
-from .mkecs import global_edge_cut_below
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,9 +118,9 @@ def _reads_whole(g, k, delta):
 
 def _whole_edge(g, k):
     """(yes, witness): a proper side of g with fewer than k leaving edges,
-    from one global cut search (`mkecs.global_edge_cut_below`).  Draws no
+    from one global cut search (`flow.global_edge_cut_below`).  Draws no
     randomness."""
-    cut = global_edge_cut_below(g, k)
+    cut = flow.global_edge_cut_below(g, k)
     if cut is None:
         return False, None
     return True, edge_cut.ComponentResult(
@@ -132,8 +131,8 @@ def _whole_edge(g, k):
 def _whole_vertex(g, k):
     """(yes, witness): a proper side of g whose out-neighbours outside it
     are fewer than k, from Even's scheme with its best value starting at
-    min(k, n - 1) (`connectivity._even_scheme`).  Draws no randomness."""
-    _, cut = connectivity._even_scheme(g, connectivity.PairCuts(), below=k)
+    min(k, n - 1) (`flow.even_scheme`).  Draws no randomness."""
+    _, cut = flow.even_scheme(g, flow.PairCuts(), below=k)
     if cut is None:
         return False, None
     return True, vertex_cut.VertexComponentResult(

@@ -11,7 +11,7 @@ most a factor of three.
 
 import dataclasses
 
-from .edge_cut import (_run_detection, internal_edge_count, repetitions_for,
+from .edge_cut import (internal_edge_count, repetitions_for, run_detection,
                        trial_edge_bound as edge_trial_bound)
 from .graph import Edge, Graph, GraphError
 
@@ -185,7 +185,7 @@ def detect_component_volume(view, s, k, delta_v, rng, symmetric=False):
     if k < 0 or delta_v < 0:
         raise ValueError("k and delta_v must be non-negative")
     partner = view.interior_partner if symmetric else None
-    return _run_detection(view, s, k, delta_v, rng, interior_partner=partner)
+    return run_detection(view, s, k, delta_v, rng, interior_partner=partner)
 
 
 def detect_vertex_out_component(g, s, k, delta, p, rng, symmetric=False):

@@ -40,11 +40,11 @@ def test_balanced_search_equals_the_unpruned_loop(monkeypatch):
     found = none = 0
     for _ in range(300):
         vertices, edges = bidirected_piece(rng)
-        assert mkecs._balanced(edges)
+        assert flow.balanced(edges)
         for k in (1, 2, 3, 4, 5):
             want = unpruned_cut_below(vertices, edges, k)
             calls.clear()
-            assert mkecs._cut_below(vertices, edges, k) == want
+            assert flow.edge_cut_below(vertices, edges, k) == want
             if want is None:
                 none += 1
                 assert len(calls) <= len(vertices) - 1
@@ -56,10 +56,10 @@ def test_balanced_search_equals_the_unpruned_loop(monkeypatch):
 
 
 def test_balance_is_read_from_degrees():
-    assert not mkecs._balanced(Graph(3, [(1, 2), (2, 3), (3, 1),
+    assert not flow.balanced(Graph(3, [(1, 2), (2, 3), (3, 1),
                                          (1, 3)]).edges)
     # balanced but not bidirected: arcs 1 -> 2 and 2 -> 3 have no reverse
-    assert mkecs._balanced(Graph(3, [(1, 2), (2, 3), (3, 1),
+    assert flow.balanced(Graph(3, [(1, 2), (2, 3), (3, 1),
                                      (1, 3), (3, 1)]).edges)
 
 
@@ -104,11 +104,11 @@ def test_global_search_flows_from_the_root_only_on_balanced_graphs(
     found = none = 0
     for g in graphs:
         vertices = set(g.vertices())
-        assert mkecs._balanced(g.edges)
+        assert flow.balanced(g.edges)
         for k in (1, 2, 3, 4, 5):
             want = unpruned_cut_below(vertices, g.edges, k)
             calls.clear()
-            assert mkecs.global_edge_cut_below(g, k) == want
+            assert flow.global_edge_cut_below(g, k) == want
             if want is None:
                 none += 1
                 assert len(calls) <= g.n - 1
@@ -126,13 +126,13 @@ def test_global_search_still_flows_both_ways_on_unbalanced_graphs(
     tested = toward_root = 0
     while tested < 150:
         g = strongly_connected_graph(rng)
-        if mkecs._balanced(g.edges):
+        if flow.balanced(g.edges):
             continue
         tested += 1
         for k in (1, 2, 3, 4):
             want = unpruned_cut_below(set(g.vertices()), g.edges, k)
             calls.clear()
-            assert mkecs.global_edge_cut_below(g, k) == want
+            assert flow.global_edge_cut_below(g, k) == want
             root = calls[0][0] if calls else None
             toward_root += any(t == root for _, t in calls)
     assert toward_root > 40

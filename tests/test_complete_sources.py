@@ -34,7 +34,7 @@ def test_a_source_with_complete_sets_looks_up_one_pair_at_most(monkeypatch,
 
     def contains(reach, w):
         # the scheme's own lookups; `PairCuts.cut` reads sets too
-        if sys._getframe(1).f_code.co_name == "_even_scheme":
+        if sys._getframe(1).f_code.co_name == "even_scheme":
             source, limit, back = next(
                 key for key, r in pairs.reach.items() if r is reach)
             other = pairs.reach.get((source, limit, not back))

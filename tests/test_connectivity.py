@@ -5,12 +5,12 @@ import pytest
 
 from localcuts.graph import Graph, UndirectedGraph
 from localcuts.connectivity import (
-    VertexCut, detection_volume_bound, max_feasible_delta,
+    PairCuts, VertexCut, max_feasible_delta,
     sample_pair_step, local_sweep_step, is_connectivity_at_least,
     fallback_exact, vertex_connectivity_directed,
     vertex_connectivity_undirected, scan_first_certificate,
-    pair_vertex_cut_at_most,
 )
+from localcuts.vertex_cut import component_volume_bound
 from localcuts.generators import (
     random_digraph, planted_separator, _random_scc_pairs,
 )
@@ -41,11 +41,11 @@ def test_pair_cut_finds_separator_and_respects_cap():
     # 1 and 4 are separated only by {2, 3}
     g = Graph(4, [(1, 2), (1, 3), (2, 4), (3, 4),
                   (4, 2), (4, 3), (2, 1), (3, 1)])
-    cut = pair_vertex_cut_at_most(g, 1, 4, 3)
+    cut = PairCuts().cut(g, 1, 4, 3)
     assert cut is not None
     assert cut.middle == {2, 3}
     assert cut.validate(g)
-    assert pair_vertex_cut_at_most(g, 1, 4, 2) is None
+    assert PairCuts().cut(g, 1, 4, 2) is None
 
 
 def test_max_feasible_delta_definition():
@@ -53,8 +53,8 @@ def test_max_feasible_delta_definition():
         for m in (50, 200, 1000):
             d = max_feasible_delta(k, m)
             if d >= 1:
-                assert detection_volume_bound(k - 1, d) + k * k < m
-                assert detection_volume_bound(k - 1, d + 1) + k * k >= m
+                assert component_volume_bound(k - 1, d) + k * k < m
+                assert component_volume_bound(k - 1, d + 1) + k * k >= m
 
 
 def test_sample_pair_step_hits_planted_separator():

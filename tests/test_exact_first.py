@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from localcuts import connectivity
+from localcuts import connectivity, flow
 from localcuts.connectivity import (PairCuts, fallback_exact,
                                     is_connectivity_at_least,
                                     local_sweep_step, max_feasible_delta,
@@ -113,10 +113,10 @@ def test_an_abandoned_run_is_replayed_for_free(g):
     answer = fallback_exact(g, fresh)
     total = fresh.spent
     pairs = PairCuts()
-    assert connectivity._even_scheme(g, pairs, total // 2) is None
+    assert flow.even_scheme(g, pairs, total // 2) is None
     # the replay of the first run is free, so the rest of the work fits
     # in what the first run left of the whole
-    assert connectivity._even_scheme(g, pairs, total - pairs.spent) == \
+    assert flow.even_scheme(g, pairs, total - pairs.spent) == \
         answer
     assert pairs.spent == total
 

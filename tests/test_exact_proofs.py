@@ -116,7 +116,7 @@ def test_fallback_builds_sets_for_its_sources_and_its_flows(monkeypatch):
 
 def test_directed_driver_checks_strong_connectivity_once(monkeypatch):
     g = Graph(12, circulant_pairs(12, 3))
-    checks = counting(monkeypatch, connectivity, "is_strongly_connected")
+    checks = counting(monkeypatch, flow, "is_strongly_connected")
     kappa, cut = vertex_connectivity_directed(g, random.Random(0))
     assert kappa == 3 and cut.validate(g)
     assert len(checks) == 1
@@ -128,7 +128,7 @@ def test_undirected_driver_checks_each_probed_graph_at_most_once(
     for n, d in ((10, 3), (14, 2), (16, 3)):
         und = UndirectedGraph(n, circulant_pairs(n, d))
         sccs = counting(monkeypatch, graph, "strongly_connected_components")
-        checks = counting(monkeypatch, connectivity, "is_strongly_connected")
+        checks = counting(monkeypatch, flow, "is_strongly_connected")
         alive = []          # probed graphs, so that their ids stay unique
         during = {}         # id of a probed graph -> checks in its probes
 

@@ -4,14 +4,21 @@ Each search reads the whole arc list of every node it pops, so one
 search reads at most every arc once, and a query at most its searches
 times the arcs: its flow value plus one when it returns a side, the
 limit when it returns None.  A query copies the base capacities, so
-its count does not depend on the queries asked before it.
+its count does not depend on the queries asked before it.  The edge
+cut search reports that count: a cut's `arc_scans`, where mkecs starts
+a local phase's credit, is what the search's flows read.
 """
 
-from hypothesis import given, settings
+import random
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from localcuts import flow
+from localcuts.graph import Graph
 
 from test_flow_network import multigraph_queries
+from test_proven_reach import random_piece
 
 
 def path_network(n, extra=0):
@@ -74,3 +81,40 @@ def test_scans_are_deterministic_and_bounded(case):
             fresh = build()
             flow_value(g, s, t, k, fresh, split)
             assert fresh.scans == spent
+
+
+@st.composite
+def edge_pieces(draw):
+    """(vertices, edges, k): a strongly connected piece of
+    `random_piece`, or a multigraph with loops and parallel edges that
+    need not be, each either as drawn or with every edge also reversed,
+    so balanced."""
+    if draw(st.booleans()):
+        vertices, edges = random_piece(random.Random(draw(st.integers())))
+    else:
+        g, _ = draw(multigraph_queries())
+        vertices, edges = set(g.vertices()), g.edges
+    if draw(st.booleans()):
+        pairs = [(e.tail, e.head) for e in edges]
+        edges = Graph(max(vertices),
+                      pairs + [(b, a) for a, b in pairs]).edges
+    return vertices, edges, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_pieces())
+def test_edge_cut_carries_the_scans_of_its_flows(case):
+    vertices, edges, k = case
+    flows = []
+    inner = flow.st_edge_cut_below
+
+    def counted(n, edges, s, t, k, net):
+        before = net.scans
+        res = inner(n, edges, s, t, k, net)
+        flows.append(net.scans - before)
+        return res
+
+    with mock.patch.object(flow, "st_edge_cut_below", counted):
+        cut = flow.edge_cut_below(vertices, edges, k)
+    if cut is not None:
+        assert cut.arc_scans == sum(flows)

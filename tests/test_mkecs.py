@@ -4,10 +4,11 @@ from itertools import combinations
 import pytest
 
 from localcuts.graph import Graph, UndirectedGraph, graph_sccs
+from localcuts.flow import edge_cut_below, global_edge_cut_below
 from localcuts.mkecs import (
     Decomposition, baseline_mkecs, baseline_mkecs_undirected,
-    global_edge_cut_below, detection_edge_bound, sparse_certificate,
-    mkecs_directed, mkecs_undirected, _cut_below,
+    detection_edge_bound, sparse_certificate, mkecs_directed,
+    mkecs_undirected,
 )
 from localcuts.generators import random_digraph, figure_shape
 from localcuts.oracles import oracle_min_directed_cut
@@ -46,7 +47,7 @@ def test_baseline_classes_partition_and_are_maximal():
                 continue
             # the class itself is k-edge-connected
             sub = [e for e in g.edges if e.tail in c and e.head in c]
-            assert _cut_below(set(c), sub, k) is None
+            assert edge_cut_below(set(c), sub, k) is None
 
 
 def test_global_cut_matches_enumeration_oracle():

@@ -12,8 +12,7 @@ import random
 import pytest
 
 from localcuts import vertex_cut
-from localcuts.connectivity import (PairCuts, detection_volume_bound,
-                                    is_connectivity_at_least,
+from localcuts.connectivity import (PairCuts, is_connectivity_at_least,
                                     local_sweep_step, max_feasible_delta,
                                     sample_pair_step)
 from localcuts.generators import planted_separator
@@ -103,7 +102,7 @@ def count_flips(monkeypatch):
 
 def test_max_feasible_delta_closed_form_matches_definition():
     def feasible(k, delta, m):
-        return detection_volume_bound(k - 1, delta) + k * k < m
+        return vertex_cut.component_volume_bound(k - 1, delta) + k * k < m
 
     for k in range(1, 9):
         for m in range(3000):

@@ -10,7 +10,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from localcuts import connectivity, flow, mkecs, testers
+from localcuts import connectivity, flow, testers
 from localcuts.edge_cut import verify_k_edge_out
 from localcuts.graph import Graph, reverse_graph
 from localcuts.vertex_cut import boundary_of, verify_vertex_out
@@ -121,7 +121,7 @@ def test_bidirected_k6_cut_search_flows_from_the_root_only(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(flow, "st_edge_cut_below", counted)
-    assert mkecs.global_edge_cut_below(g, 3) is None
+    assert flow.global_edge_cut_below(g, 3) is None
     # the graph is balanced, so a flow from the root answers the flow
     # back; after the flows to 2 and 3 every vertex has 3 arcs from (and
     # to) members
@@ -145,7 +145,7 @@ def unpruned_cut_below(vertices, edges, k):
             res = flow.st_edge_cut_below(n_max, edges, s, t, k, net)
             if res is not None:
                 side, cut = res
-                return mkecs.EdgeCut(frozenset(side), tuple(cut))
+                return flow.EdgeCut(frozenset(side), tuple(cut))
     return None
 
 
@@ -199,7 +199,7 @@ def test_cut_below_equals_the_unpruned_loop():
         vertices, edges = random_piece(rng)
         for k in (1, 2, 3, 4):
             want = unpruned_cut_below(vertices, edges, k)
-            assert mkecs._cut_below(vertices, edges, k) == want
+            assert flow.edge_cut_below(vertices, edges, k) == want
             found += want is not None
     assert 100 < found < 1100
 
