@@ -357,18 +357,19 @@ def scan_first_certificate(und, k):
     connectivity, and on a multigraph the forests would spend rounds on
     copies: the union could fall below min(kappa, k).
     """
+    tail, head = und.endpoints()
     firsts = {}
-    for e in und.edges:
-        firsts.setdefault(frozenset((e.tail, e.head)), e)
-    kept = scan_first_forests(firsts.values(), k)
-    return UndirectedGraph(und.n, [(e.tail, e.head) for e in kept])
+    for i, pair in enumerate(und.pairs()):
+        firsts.setdefault(frozenset(pair), i)
+    kept = scan_first_forests(tail, head, list(firsts.values()), k)
+    return UndirectedGraph(und.n, [(tail[i], head[i]) for i in kept])
 
 
 def _lift_cutset(und, middle):
     """Re-partition the input around a separator found on a certificate."""
     alive = set(range(1, und.n + 1)) - set(middle)
-    comps = components(alive, [e for e in und.edges
-                               if e.tail in alive and e.head in alive],
+    comps = components(alive, [(t, h) for t, h in und.pairs()
+                               if t in alive and h in alive],
                        undirected=True)
     if len(comps) < 2:
         return None

@@ -51,6 +51,9 @@ a directed cut of fewer than k edges in a piece by flows from and to
 one root, as in the global phase of Chechik, Hansen, Italiano,
 Loitzenbauer and Parotsidis (SODA 2017): mkecs runs it on each piece,
 and `global_edge_cut_below` runs it on a whole graph for the testers.
+The edge functions read a piece as a list of edge ids over two endpoint
+lists, a graph's own (`Graph.endpoints`) or mkecs' antiparallel ones,
+and a cut lists the ids of its edges.
 `even_scheme` finds the vertex connectivity, or a separator below a
 given size, by Even's scheme (1975): capped flows to and from each of
 the first kappa + 1 vertices, asked through one `PairCuts`, which holds
@@ -245,29 +248,31 @@ def st_vertex_cut_at_most(g, s, t, k, net=None):
     return left, middle, right
 
 
-def edge_flow_network(n, edges, vertices=None):
-    """Unit-capacity network over vertices 1..n, one arc per edge.
+def edge_flow_network(n, tail, head, ids, vertices=None):
+    """Unit-capacity network over vertices 1..n, one arc per edge of
+    `ids`, whose endpoints are read from the lists `tail` and `head`.
 
     Given `vertices`, a piece of a larger graph that holds every endpoint
-    of `edges`, the network has a node for those vertices only, so its
-    size does not depend on n."""
+    of those edges, the network has a node for those vertices only, so
+    its size does not depend on n."""
     return Network(n + 1 if vertices is None else vertices,
-                   [e.tail for e in edges], [e.head for e in edges],
-                   [1] * len(edges))
+                   [tail[i] for i in ids], [head[i] for i in ids],
+                   [1] * len(ids))
 
 
-def st_edge_cut_below(n, edges, s, t, k, net=None):
-    """Edge cut (S, cut edge ids) with s in S, t outside, < k edges, or
-    None; `net` is the network of (n, edges), built here when not given."""
+def st_edge_cut_below(n, tail, head, ids, s, t, k, net=None):
+    """Edge cut (S, cut edge ids) of the edges `ids` over `tail` and
+    `head`, with s in S, t outside and fewer than k edges, or None;
+    `net` is their edge_flow_network, built here when not given."""
     if s == t:
         raise ValueError("endpoints must differ")
     if net is None:
-        net = edge_flow_network(n, edges)
+        net = edge_flow_network(n, tail, head, ids)
     side = net.source_side(s, t, k)
     if side is None:
         return None
     side = set(side)
-    cut = [e.id for e in edges if e.tail in side and e.head not in side]
+    cut = [i for i in ids if tail[i] in side and head[i] not in side]
     return side, cut
 
 
@@ -279,16 +284,17 @@ class EdgeCut:
     arc_scans: int = dataclasses.field(default=0, compare=False)
 
 
-def balanced(edges):
-    """Every vertex has as many edges entering as leaving it."""
-    return Counter(e.tail for e in edges) == Counter(e.head for e in edges)
+def balanced(tail, head, ids):
+    """Every vertex has as many of the edges `ids` entering as leaving it."""
+    return Counter(tail[i] for i in ids) == Counter(head[i] for i in ids)
 
 
-def edge_cut_below(vertices, edges, k):
+def edge_cut_below(vertices, tail, head, ids, k):
     """Directed cut (S, rest) with fewer than k edges, on a strongly
-    connected piece, or None.  Max-flow from and to a fixed root decides
-    the global minimum cut exactly; one network over the piece's own
-    vertices serves every flow.
+    connected piece whose edges are `ids` over the endpoint lists `tail`
+    and `head`, or None; the cut lists edge ids.  Max-flow from and to a
+    fixed root decides the global minimum cut exactly; one network over
+    the piece's own vertices serves every flow.
 
     The root is a vertex of minimum degree (ties to the smallest id) and
     the other vertices follow in id order: a small side with fewer than
@@ -297,7 +303,7 @@ def edge_cut_below(vertices, edges, k):
     already holds the other end (`ProvenReach`): it would find no cut,
     so the first cut in this order is found all the same.
 
-    On a balanced piece (`balanced(edges)`: every bidirected piece and
+    On a balanced piece (`balanced`: every bidirected piece and
     undirected certificate) each cut has as many edges entering as
     leaving, so lambda(r, v) = lambda(v, r), and a member of either set
     is proven both ways.  So only flows from the root run there, at
@@ -307,10 +313,10 @@ def edge_cut_below(vertices, edges, k):
     """
     if len(vertices) <= 1:
         return None
-    is_balanced = balanced(edges)
+    is_balanced = balanced(tail, head, ids)
     ordered = sorted(vertices)
     n_max = ordered[-1]
-    net = edge_flow_network(n_max, edges, ordered)
+    net = edge_flow_network(n_max, tail, head, ids, ordered)
     # a node's arc list holds one arc per edge at it, in or out
     root = min(ordered, key=lambda v: len(net.arcs[v]))
     fwd = ProvenReach(net, root, k)
@@ -320,7 +326,7 @@ def edge_cut_below(vertices, edges, k):
             if v in proven:
                 continue
             if not (is_balanced and v in other):
-                res = st_edge_cut_below(n_max, edges, s, t, k, net)
+                res = st_edge_cut_below(n_max, tail, head, ids, s, t, k, net)
                 if res is not None:
                     side, cut = res
                     return EdgeCut(frozenset(side), tuple(cut), net.scans)
@@ -332,8 +338,9 @@ def global_edge_cut_below(g, k):
     """Cut with at most k-1 edges leaving a proper vertex set of g, or
     None.  g need not be strongly connected: a flow to a vertex the root
     does not reach, or from one that does not reach it, returns a cut
-    with no edges."""
-    return edge_cut_below(set(g.vertices()), g.edges, k)
+    with no edges.  The search reads g's endpoint lists
+    (`Graph.endpoints`) with every id, range(g.m)."""
+    return edge_cut_below(set(g.vertices()), *g.endpoints(), range(g.m), k)
 
 
 @dataclasses.dataclass(frozen=True)

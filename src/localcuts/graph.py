@@ -2,16 +2,23 @@
 
 Vertices are 1-based integers.  The id of an edge is its position,
 0..m-1, so overlays can reverse individual edges by id without touching
-the base graph.  A Graph stores its edges as two flat int lists, the
-tails and the heads, next to the per-vertex incidence lists of ids.
+the base graph.  Graph and UndirectedGraph share one storage: two flat
+int lists, the tails and the heads, checked once when a graph is built
+and handed out by `endpoints()`.  A Graph adds the per-vertex incidence
+lists of ids.  An UndirectedGraph reads as its antiparallel encoding
+(`antiparallel()`: edge i becomes arcs 2i and 2i + 1), as endpoint lists
+or, through `to_directed()`, as a Graph.
 
 Graph, Overlay, LiveView and SplitGraph (in vertex_cut) share one probe
 protocol: `out_ids(u)`/`in_ids(u)` give a vertex's incidence lists of
 edge ids, and `tail(eid)`/`head(eid)` the endpoints of an edge in the
-view's current orientation.  The detectors read only this protocol, so
-they build no Edge objects.  Edge triples are the API boundary: `g.edges`
-and `g.edge(eid)` build the list of all m Edges on first use and then
-cache it on the graph.
+view's current orientation.  The detectors read only this protocol, and
+the forest certificates, component walks, flow networks and mkecs read
+id lists over the endpoint lists, so no driver builds an Edge object.
+Edge triples are the API boundary: `g.edges` and `g.edge(eid)` build
+the list of all m Edges on first use and then cache it on the graph;
+`Overlay.edge` reads its base's, and `SplitGraph.edge` and the
+CountedView probes build one Edge each.
 
 Local algorithms are charged per incidence slot they read: one query
 per slot, plus one for the probe that learns the slot after the last is
@@ -39,73 +46,38 @@ class Edge:
     head: int
 
 
-class Graph:
-    """Immutable directed multigraph over vertices 1..n."""
+def _unzip(pairs):
+    """The tail list and the head list of (tail, head) pairs."""
+    tail, head = [], []
+    for t, h in pairs:
+        tail.append(t)
+        head.append(h)
+    return tail, head
 
-    __slots__ = ("n", "m", "_tail", "_head", "_out", "_in", "_edges")
 
-    def __init__(self, n, pairs):
-        tail, head = [], []
-        for t, h in pairs:
-            tail.append(t)
-            head.append(h)
-        self._fill(n, tail, head)
+class _EdgeLists:
+    """Edges over vertices 1..n as two flat endpoint lists, the storage
+    Graph and UndirectedGraph share; the id of an edge is its position."""
 
-    @classmethod
-    def from_edges(cls, n, edges):
-        """Build from Edge triples whose ids are their positions."""
-        edges = list(edges)
-        for i, e in enumerate(edges):
-            if e.id != i:
-                raise GraphError("edge id %d at position %d" % (e.id, i))
-        g = cls.__new__(cls)
-        g._fill(n, [e.tail for e in edges], [e.head for e in edges])
-        g._edges = edges
-        return g
+    __slots__ = ("n", "m", "_tail", "_head", "_edges")
 
-    def _fill(self, n, tail, head):
-        """Take the endpoint lists and index them; ids are positions."""
+    def _take(self, n, tail, head):
+        """Hold the endpoint lists, which are taken, not copied, once n
+        and every endpoint are checked."""
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        out = [[] for _ in range(n + 1)]
-        inc = [[] for _ in range(n + 1)]
-        for eid, t in enumerate(tail):
-            h = head[eid]
-            if not (1 <= t <= n and 1 <= h <= n):
-                raise GraphError("edge %d endpoint out of range" % eid)
-            out[t].append(eid)
-            inc[h].append(eid)
-        self._share(n, tail, head, out, inc)
-
-    def _share(self, n, tail, head, out, inc):
-        """Set every slot from the given lists, which are taken, not copied."""
-        self.n, self.m = n, len(tail)
-        self._tail, self._head = tail, head
-        self._out, self._in = out, inc
+        if tail and not (1 <= min(tail) and max(tail) <= n
+                         and 1 <= min(head) and max(head) <= n):
+            eid = next(i for i, t in enumerate(tail)
+                       if not (1 <= t <= n and 1 <= head[i] <= n))
+            raise GraphError("edge %d endpoint out of range" % eid)
+        self.n, self.m, self._tail, self._head = n, len(tail), tail, head
         self._edges = None
 
-    def _reversed(self):
-        """This graph with every edge flipped; ids are preserved.
-
-        Incidence lists swap roles, so the i-th in-edge of v here is the
-        i-th out-edge of v in the reverse.  Both graphs are immutable, so
-        the reverse shares this graph's endpoint and incidence lists.
-        """
-        rev = Graph.__new__(Graph)
-        rev._share(self.n, self._head, self._tail, self._in, self._out)
-        return rev
-
-    def has_vertex(self, v):
-        return 1 <= v <= self.n
-
-    def vertices(self):
-        return range(1, self.n + 1)
-
-    def out_ids(self, u):
-        return self._out[u]
-
-    def in_ids(self, u):
-        return self._in[u]
+    def endpoints(self):
+        """The tail list and the head list, indexed by edge id; shared,
+        so a caller reads them and never changes them."""
+        return self._tail, self._head
 
     def tail(self, eid):
         return self._tail[eid]
@@ -130,71 +102,98 @@ class Graph:
             return self.edges[eid]
         raise GraphError("unknown edge id %d" % eid)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n == other.n and self._tail == other._tail
+                and self._head == other._head)
+
+    def __repr__(self):
+        return "%s(n=%d, m=%d)" % (type(self).__name__, self.n, self.m)
+
+
+class Graph(_EdgeLists):
+    """Immutable directed multigraph over vertices 1..n."""
+
+    __slots__ = ("_out", "_in")
+
+    def __init__(self, n, pairs):
+        self._fill(n, *_unzip(pairs))
+
+    @classmethod
+    def from_edges(cls, n, edges):
+        """Build from Edge triples whose ids are their positions."""
+        edges = list(edges)
+        for i, e in enumerate(edges):
+            if e.id != i:
+                raise GraphError("edge id %d at position %d" % (e.id, i))
+        g = cls.__new__(cls)
+        g._fill(n, [e.tail for e in edges], [e.head for e in edges])
+        g._edges = edges
+        return g
+
+    def _fill(self, n, tail, head):
+        """Take the endpoint lists and index them."""
+        self._take(n, tail, head)
+        out = [[] for _ in range(n + 1)]
+        inc = [[] for _ in range(n + 1)]
+        for eid, t in enumerate(tail):
+            out[t].append(eid)
+            inc[head[eid]].append(eid)
+        self._out, self._in = out, inc
+
+    def _reversed(self):
+        """This graph with every edge flipped; ids are preserved.
+
+        Incidence lists swap roles, so the i-th in-edge of v here is the
+        i-th out-edge of v in the reverse.  Both graphs are immutable, so
+        the reverse shares this graph's endpoint and incidence lists.
+        """
+        rev = Graph.__new__(Graph)
+        rev.n, rev.m, rev._edges = self.n, self.m, None
+        rev._tail, rev._head = self._head, self._tail
+        rev._out, rev._in = self._in, self._out
+        return rev
+
+    def has_vertex(self, v):
+        return 1 <= v <= self.n
+
+    def vertices(self):
+        return range(1, self.n + 1)
+
+    def out_ids(self, u):
+        return self._out[u]
+
+    def in_ids(self, u):
+        return self._in[u]
+
     def out_degree(self, u):
         return len(self._out[u])
 
     def in_degree(self, u):
         return len(self._in[u])
 
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (self.n == other.n and self._tail == other._tail
-                and self._head == other._head)
 
-    def __repr__(self):
-        return "Graph(n=%d, m=%d)" % (self.n, self.m)
+class UndirectedGraph(_EdgeLists):
+    """Undirected multigraph; edge i joins tail(i) and head(i), unordered."""
 
-
-class UndirectedGraph:
-    """Undirected multigraph; each edge is an unordered endpoint pair."""
-
-    __slots__ = ("n", "edges")
+    __slots__ = ()
 
     def __init__(self, n, pairs):
-        self.n = n
-        self.edges = [Edge(i, u, v) for i, (u, v) in enumerate(pairs)]
-        for e in self.edges:
-            if not (1 <= e.tail <= n and 1 <= e.head <= n):
-                raise GraphError("edge %d endpoint out of range" % e.id)
+        self._take(n, *_unzip(pairs))
 
-    @property
-    def m(self):
-        return len(self.edges)
-
-    def pairs(self):
-        """(tail, head) of every edge, in id order."""
-        return ((e.tail, e.head) for e in self.edges)
+    def antiparallel(self):
+        """Endpoint lists of the antiparallel encoding: edge i becomes the
+        arcs 2i (tail -> head) and 2i + 1 (head -> tail), so an arc maps
+        back to its edge by `a // 2`."""
+        tail, head = [0] * (2 * self.m), [0] * (2 * self.m)
+        tail[::2] = head[1::2] = self._tail
+        head[::2] = tail[1::2] = self._head
+        return tail, head
 
     def to_directed(self):
-        """The antiparallel encoding of `bidirect`, as a Graph."""
-        return Graph(self.n,
-                     ((t, h) for _, t, h in _antiparallel(self.edges)))
-
-    def __eq__(self, other):
-        if not isinstance(other, UndirectedGraph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __repr__(self):
-        return "UndirectedGraph(n=%d, m=%d)" % (self.n, self.m)
-
-
-def _antiparallel(edges):
-    """(id, tail, head) of each directed edge of the antiparallel encoding.
-
-    Undirected edge i becomes the directed edges 2i (tail -> head) and
-    2i + 1 (head -> tail), in that order, so a directed id maps back to
-    its undirected edge by `eid // 2`.
-    """
-    for e in edges:
-        yield 2 * e.id, e.tail, e.head
-        yield 2 * e.id + 1, e.head, e.tail
-
-
-def bidirect(edges):
-    """Antiparallel-pair encoding of undirected edges, as Edge triples."""
-    return [Edge(eid, t, h) for eid, t, h in _antiparallel(edges)]
+        """The antiparallel encoding as a Graph."""
+        return Graph(self.n, zip(*self.antiparallel()))
 
 
 def reverse_graph(g):
@@ -291,8 +290,9 @@ class _Past:
         return past[v]
 
 
-def load_edge_list(text):
-    """Parse the delimited format: header "n m", then one "tail head" per line.
+def _parse_edge_list(text):
+    """(n, pairs) of the delimited format: header "n m", then one
+    "tail head" per line.
 
     Lines starting with '#' (after stripping) are comments.  Vertices are
     1-based.  Raises EdgeListError with the offending line number.
@@ -326,7 +326,12 @@ def load_edge_list(text):
     if len(pairs) != m:
         raise EdgeListError("line %d: header promises %d edges, found %d"
                             % (lineno if text.splitlines() else 1, m, len(pairs)))
-    return Graph(n, pairs)
+    return n, pairs
+
+
+def load_edge_list(text):
+    """The Graph of a text in the delimited format (`_parse_edge_list`)."""
+    return Graph(*_parse_edge_list(text))
 
 
 def dump_edge_list(g):
@@ -337,8 +342,8 @@ def dump_edge_list(g):
 
 
 def load_undirected_edge_list(text):
-    g = load_edge_list(text)
-    return UndirectedGraph(g.n, g.pairs())
+    """The UndirectedGraph of a text in the delimited format."""
+    return UndirectedGraph(*_parse_edge_list(text))
 
 
 class Overlay:
@@ -533,42 +538,45 @@ def is_strongly_connected(g):
             and _reached(g.in_ids, g.tail) == g.n)
 
 
-def components(vertices, edges, undirected=False):
-    """Strongly connected components of the edge list on `vertices`.
+def components(vertices, pairs, undirected=False):
+    """Strongly connected components of the (tail, head) pairs on
+    `vertices`.
 
     With `undirected` every edge is also followed from head to tail, so
     the result is the connected components.  Every endpoint must lie in
     `vertices`; the order is that of strongly_connected_components.
     """
     adj = {v: [] for v in vertices}
-    for e in edges:
-        adj[e.tail].append(e.head)
+    for t, h in pairs:
+        adj[t].append(h)
         if undirected:
-            adj[e.head].append(e.tail)
+            adj[h].append(t)
     return strongly_connected_components(vertices, adj.__getitem__)
 
 
-def scan_first_forests(edges, k):
-    """Edges of k scan-first spanning forests, in the order of `edges`.
+def scan_first_forests(tail, head, ids, k):
+    """Ids of the edges of k scan-first spanning forests, in the order of
+    `ids`, over the endpoint lists `tail` and `head`.
 
     Each forest is grown breadth-first on the edges the earlier ones
     left, read as undirected: a scanned vertex acquires all its unseen
     neighbours, roots go in vertex order, neighbours in the order of
-    `edges` (id order, at every caller), and loops are skipped.  So every forest is maximal on what it grows
-    on, and the union keeps every edge cut of at most k edges whole and
-    at least k edges of every larger one (Nagamochi and Ibaraki, 1992).
-    On a simple graph it also keeps vertex connectivity up to k
-    (Cheriyan, Kao and Thurimella, 1993).
+    `ids` (increasing, at every caller), and loops are skipped.  So
+    every forest is maximal on what it grows on, and the union keeps
+    every edge cut of at most k edges whole and at least k edges of
+    every larger one (Nagamochi and Ibaraki, 1992).  On a simple graph
+    it also keeps vertex connectivity up to k (Cheriyan, Kao and
+    Thurimella, 1993).
     """
-    remaining = [e for e in edges if e.tail != e.head]
+    remaining = [i for i in ids if tail[i] != head[i]]
     kept = set()
     for _ in range(k):
         if not remaining:
             break
         adj = {}
-        for e in remaining:
-            adj.setdefault(e.tail, []).append((e.head, e.id))
-            adj.setdefault(e.head, []).append((e.tail, e.id))
+        for i in remaining:
+            adj.setdefault(tail[i], []).append((head[i], i))
+            adj.setdefault(head[i], []).append((tail[i], i))
         seen = set()
         for root in sorted(adj):
             if root in seen:
@@ -581,10 +589,10 @@ def scan_first_forests(edges, k):
                         seen.add(w)
                         kept.add(eid)
                         queue.append(w)
-        remaining = [e for e in remaining if e.id not in kept]
-    return [e for e in edges if e.id in kept]
+        remaining = [i for i in remaining if i not in kept]
+    return [i for i in ids if i in kept]
 
 
 def undirected_components(und):
     """Connected components of an UndirectedGraph, as vertex sets."""
-    return components(range(1, und.n + 1), und.edges, undirected=True)
+    return components(range(1, und.n + 1), und.pairs(), undirected=True)

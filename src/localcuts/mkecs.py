@@ -64,9 +64,13 @@ the cut search flows only from its root for the same reason.  While the
 live edges are unbalanced, a piece is also read backward, from each
 start whose forward detection failed; a carve can balance them again.
 
-One local driver serves both kinds of graph.  An undirected graph
-enters as its antiparallel pairs (`bidirect`: edge i becomes arcs 2i and
-2i + 1), so its pieces, splits and carves are those of a directed graph.
+Every piece is a vertex set and a list of edge ids over one pair of
+endpoint lists, the graph's own (`Graph.endpoints`) for a directed
+graph, so no Edge is built.  One local driver serves both kinds of
+graph.  An undirected graph enters as its antiparallel pairs, two
+interleaved endpoint lists built once per call
+(`UndirectedGraph.antiparallel`: edge i becomes arcs 2i and 2i + 1), so
+its pieces, splits and carves are those of a directed graph.
 Only what the detector and the cut search read differs: an undirected
 piece is read through its bidirected certificate, which is balanced, so
 forward only.  The certificate is k scan-first forests of the piece
@@ -85,7 +89,7 @@ from collections import Counter, deque
 from .edge_cut import (detect_component_param, high_probability,
                        repetitions_for, round_budget, trial_edge_bound)
 from .flow import edge_cut_below as _cut_below
-from .graph import (Graph, LiveView, UndirectedGraph, bidirect, components,
+from .graph import (Graph, LiveView, UndirectedGraph, components,
                     reverse_graph, scan_first_forests)
 
 
@@ -103,36 +107,37 @@ class Decomposition:
         return self.k == other.k and self.as_sorted() == other.as_sorted()
 
 
-def _pieces(vertices, edges):
-    """Components of the edge list on `vertices`, as in `components`,
-    each paired with its internal edges in edge-list order; self-loops
-    are dropped.  One pass over the edges serves every component."""
-    comps = components(vertices, edges)
+def _pieces(vertices, tail, head, ids):
+    """Components of the edges `ids` on `vertices`, as in `components`,
+    each paired with the ids of its internal edges in the order of
+    `ids`; self-loops are dropped.  One pass over the ids serves every
+    component."""
+    comps = components(vertices, ((tail[i], head[i]) for i in ids))
     where = {}
-    for i, comp in enumerate(comps):
+    for c, comp in enumerate(comps):
         for v in comp:
-            where[v] = i
+            where[v] = c
     inner = [[] for _ in comps]
-    for e in edges:
-        i = where[e.tail]
-        if e.tail != e.head and i == where[e.head]:
-            inner[i].append(e)
+    for i in ids:
+        c = where[tail[i]]
+        if tail[i] != head[i] and c == where[head[i]]:
+            inner[c].append(i)
     return list(zip(comps, inner))
 
 
-def _baseline(vertices, edges, k):
+def _baseline(vertices, tail, head, ids, k):
     """Recursive SCC / small-cut peeling; returns the class list."""
     classes = []
-    stack = [(set(vertices), edges)]
+    stack = [(set(vertices), ids)]
     while stack:
-        for comp, inner in _pieces(*stack.pop()):
-            cut = _cut_below(comp, inner, k)
+        vertices, ids = stack.pop()
+        for comp, inner in _pieces(vertices, tail, head, ids):
+            cut = _cut_below(comp, tail, head, inner, k)
             if cut is None:
                 classes.append(frozenset(comp))
             else:
                 removed = set(cut.cut_edges)
-                stack.append((comp, [e for e in inner
-                                     if e.id not in removed]))
+                stack.append((comp, [i for i in inner if i not in removed]))
     return classes
 
 
@@ -140,7 +145,8 @@ def baseline_mkecs(g, k):
     """Reference decomposition into maximal k-edge-connected subgraphs."""
     if k < 1:
         raise ValueError("k must be positive")
-    return Decomposition(k, _baseline(set(g.vertices()), g.edges, k))
+    return Decomposition(k, _baseline(set(g.vertices()), *g.endpoints(),
+                                      range(g.m), k))
 
 
 def detection_edge_bound(k, delta):
@@ -148,42 +154,46 @@ def detection_edge_bound(k, delta):
     return max(round_budget(k, delta), delta)
 
 
-def _sides_above(side, edges, bound):
+def _sides_above(side, tail, head, ids, bound):
     """Both `side` and the rest hold more than `bound` of the edges."""
     inside = outside = 0
-    for e in edges:
-        if e.tail in side:
-            inside += e.head in side
+    for i in ids:
+        if tail[i] in side:
+            inside += head[i] in side
         else:
-            outside += e.head not in side
+            outside += head[i] not in side
     return inside > bound and outside > bound
 
 
-def _split(comp, inner, removed):
+def _split(comp, tail, head, inner, removed):
     """Pieces of (comp, inner) once the edges with ids in `removed` are
-    gone, each as (vertices, edges, queue): its queue holds its endpoints
-    of the edges no piece kept, where a new small component must touch."""
-    pieces = _pieces(comp, [e for e in inner if e.id not in removed])
-    kept = {e.id for _, sub_edges in pieces for e in sub_edges}
-    touched = {v for e in inner if e.id not in kept for v in (e.tail, e.head)}
-    return [(sub, sub_edges, sub & touched) for sub, sub_edges in pieces]
+    gone, each as (vertices, edge ids, queue): its queue holds its
+    endpoints of the edges no piece kept, where a new small component
+    must touch."""
+    pieces = _pieces(comp, tail, head, [i for i in inner if i not in removed])
+    kept = {i for _, sub_ids in pieces for i in sub_ids}
+    touched = {v for i in inner if i not in kept for v in (tail[i], head[i])}
+    return [(sub, sub_ids, sub & touched) for sub, sub_ids in pieces]
 
 
-def _certificate(arcs, k):
-    """Bidirected certificate of a piece of antiparallel pairs, each pair
-    adjacent in `arcs`: the pairs whose first arc k scan-first forests
-    (`scan_first_forests`) keep, in the order of `arcs`."""
-    kept = {e.id for e in scan_first_forests(arcs[::2], k)}
-    return [a for e, b in zip(arcs[::2], arcs[1::2]) if e.id in kept
-            for a in (e, b)]
+def _certificate(tail, head, arcs, k):
+    """Bidirected certificate of a piece of antiparallel pairs, the ids
+    2i and 2i + 1 of each pair adjacent in `arcs`: the pairs whose first
+    arc k scan-first forests (`scan_first_forests`) keep, in the order of
+    `arcs`."""
+    kept = {a // 2 for a in scan_first_forests(tail, head, arcs[::2], k)}
+    return [a for a in arcs if a // 2 in kept]
 
 
-def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
+def _carve(vertices, tail, head, edges, cert, queue, k, kd, delta, rng,
+           scans):
     """Local phase on one piece: carve off what the detector finds.
-    Returns the carved components, each with its inner edges, and the
-    live vertices and edges.  Detection starts from the vertices of
-    `queue`, by out-degree on the graph it reads, lowest first, and then
-    from the endpoints of edges that later carves remove.
+    `edges` and `cert` are id lists over the endpoint lists `tail` and
+    `head`.  Returns the carved components, each with the ids of its
+    inner edges, and the live vertices and edge ids.  Detection starts
+    from the vertices of `queue`, by out-degree on the graph it reads,
+    lowest first, and then from the endpoints of edges that later carves
+    remove.
 
     The phase is charged per detection trial.  Its credit starts at
     min(scans, 2k|read|): the arcs the piece's cut search scanned, at
@@ -239,11 +249,11 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
     # piece have none
     excess = Counter()
     if cert is None:
-        excess = Counter(e.tail for e in edges)
-        excess.subtract(Counter(e.head for e in edges))
+        excess = Counter(tail[i] for i in edges)
+        excess.subtract(Counter(head[i] for i in edges))
     unbalanced = {v for v, x in excess.items() if x}
     read = edges if cert is None else cert
-    out_degree = Counter(e.tail for e in read)
+    out_degree = Counter(tail[i] for i in read)
     worklist = deque(sorted(queue, key=lambda v: (out_degree[v], v)))
     queued = set(worklist)
     # one capped flow scans the 2|read| arcs k times; each carve earns
@@ -270,7 +280,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
             continue
         first = False
         if fwd is None:
-            fwd = Graph(n_max, [(e.tail, e.head) for e in read])
+            fwd = Graph(n_max, [(tail[i], head[i]) for i in read])
         res = detect(fwd, s)
         forward = True
         if not res and unbalanced:
@@ -283,7 +293,8 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
             continue
         if index is None:
             index = fwd if cert is None else Graph(
-                n_max, [(e.tail, e.head) for e in edges])
+                n_max, [(tail[i], head[i]) for i in edges])
+            index_tail, index_head = index.endpoints()
         # the members' live edges: inside and crossing
         inner = []
         # per frontier vertex: out-edges lost minus in-edges lost
@@ -291,7 +302,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
         leaving = 0
         for u in members:
             for i in index.out_ids(u):
-                h = index.head(i)
+                h = index_head[i]
                 if h in members:
                     inner.append(i)
                 elif h in live:
@@ -299,7 +310,7 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
                     leaving += forward
                     frontier[h] -= 1
             for i in index.in_ids(u):
-                t = index.tail(i)
+                t = index_tail[i]
                 if t not in members and t in live:
                     leaving += not forward
                     frontier[t] += 1
@@ -324,16 +335,19 @@ def _carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
                 worklist.append(v)
                 queued.add(v)
     if carved:
-        edges = [e for e in edges if e.tail in live and e.head in live]
+        edges = [i for i in edges if tail[i] in live and head[i] in live]
     return carved, live, edges
 
 
-def _local(pieces, k, delta, rng, undirected):
-    """Classes of the pieces, walked on one explicit stack of (vertices,
-    edges, queue); a piece is searched, carved or split only when it is
-    popped.  An undirected piece holds antiparallel pairs; its cut search
-    and its detection read its bidirected certificate, built here from
-    its edges, which keeps every cut of fewer than k edges whole.
+def _local(vertices, tail, head, k, delta, rng, undirected):
+    """Classes of the graph of every edge over the endpoint lists `tail`
+    and `head` on `vertices`: its pieces are walked on one explicit stack
+    of (vertices, edge ids, queue), and a piece is searched, carved or
+    split only when it is popped.  An undirected graph is given as its
+    antiparallel pairs, so its pieces hold such pairs; the cut search
+    and the detection of such a piece read its bidirected certificate,
+    built here from its edges, which keeps every cut of fewer than k
+    edges whole.
 
     A piece too small for the detector's cap goes to the baseline.  Any
     other piece gets one global cut search first: with no cut below k it
@@ -348,28 +362,30 @@ def _local(pieces, k, delta, rng, undirected):
     kd = min(k, max(1, delta)) - 1
     bound = detection_edge_bound(kd, delta)
     classes = []
-    stack = [(comp, inner, comp) for comp, inner in pieces]
+    stack = [(comp, inner, comp) for comp, inner in
+             _pieces(vertices, tail, head, range(len(tail)))]
     while stack:
         vertices, edges, queue = stack.pop()
         if len(edges) <= bound:
-            classes.extend(_baseline(vertices, edges, k))
+            classes.extend(_baseline(vertices, tail, head, edges, k))
             continue
-        cert = _certificate(edges, k) if undirected else None
+        cert = _certificate(tail, head, edges, k) if undirected else None
         read = edges if cert is None else cert
-        cut = _cut_below(vertices, read, k)
+        cut = _cut_below(vertices, tail, head, read, k)
         if cut is None:
             classes.append(frozenset(vertices))
             continue
-        if _sides_above(cut.side, read, bound):
-            stack += _split(vertices, edges, set(cut.cut_edges))
+        if _sides_above(cut.side, tail, head, read, bound):
+            stack += _split(vertices, tail, head, edges, set(cut.cut_edges))
             continue
-        carved, live, live_edges = _carve(vertices, edges, cert, queue, k,
-                                          kd, delta, rng, cut.arc_scans)
+        carved, live, live_edges = _carve(vertices, tail, head, edges, cert,
+                                          queue, k, kd, delta, rng,
+                                          cut.arc_scans)
         if carved:
-            stack += [(comp, inner, set())
-                      for comp, inner in carved + _pieces(live, live_edges)]
+            stack += [(comp, inner, set()) for comp, inner in
+                      carved + _pieces(live, tail, head, live_edges)]
         else:
-            stack += _split(vertices, edges, set(cut.cut_edges))
+            stack += _split(vertices, tail, head, edges, set(cut.cut_edges))
     return classes
 
 
@@ -388,8 +404,8 @@ def mkecs_directed(g, k, rng, delta=None):
         raise ValueError("delta must be non-negative")
     if delta is None:
         delta = max(1, math.ceil(math.sqrt(max(1, g.m) / k)))
-    return Decomposition(k, _local(
-        _pieces(set(g.vertices()), g.edges), k, delta, rng, False))
+    return Decomposition(k, _local(set(g.vertices()), *g.endpoints(), k,
+                                   delta, rng, False))
 
 
 def sparse_certificate(und, k):
@@ -401,8 +417,9 @@ def sparse_certificate(und, k):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    kept = scan_first_forests(und.edges, k)
-    return UndirectedGraph(und.n, [(e.tail, e.head) for e in kept])
+    tail, head = und.endpoints()
+    kept = scan_first_forests(tail, head, range(und.m), k)
+    return UndirectedGraph(und.n, [(tail[i], head[i]) for i in kept])
 
 
 def mkecs_undirected(und, k, rng, gamma=None):
@@ -421,9 +438,8 @@ def mkecs_undirected(und, k, rng, gamma=None):
         raise ValueError("gamma must be non-negative")
     if gamma is None:
         gamma = max(1, math.ceil(math.sqrt(und.n) / k))
-    return Decomposition(k, _local(
-        _pieces(range(1, und.n + 1), bidirect(und.edges)),
-        k, k * gamma, rng, True))
+    return Decomposition(k, _local(range(1, und.n + 1), *und.antiparallel(),
+                                   k, k * gamma, rng, True))
 
 
 def baseline_mkecs_undirected(und, k):

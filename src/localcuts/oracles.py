@@ -10,10 +10,6 @@ from collections import deque
 from itertools import combinations
 
 
-def _edge_pairs(g):
-    return [(e.tail, e.head) for e in g.edges]
-
-
 def _out_count(pairs, members):
     return sum(1 for (t, h) in pairs if t in members and h not in members)
 
@@ -27,7 +23,9 @@ def oracle_min_edge_out_component(g, s, k):
     n = g.n
     if n > 20:
         raise ValueError("oracle is guarded to n <= 20")
-    pairs = _edge_pairs(g)
+    if not 1 <= s <= n:
+        raise ValueError("start vertex %d is not in 1..%d" % (s, n))
+    pairs = list(g.pairs())
     others = [v for v in range(1, n + 1) if v != s]
     subsets = []
     for r in range(0, n):
@@ -50,7 +48,7 @@ def oracle_is_minimal_component(g, s, members, k):
     subset containing s does at least as well."""
     if s not in members:
         return False
-    pairs = _edge_pairs(g)
+    pairs = list(g.pairs())
     cut = _out_count(pairs, members)
     if cut > k:
         return False
@@ -98,7 +96,7 @@ def oracle_vertex_connectivity(g):
         raise ValueError("oracle is guarded to n <= 64")
     if n <= 1:
         return 0
-    pairs = _edge_pairs(g)
+    pairs = list(g.pairs())
     adjacent = set(pairs)
     best = n - 1
     big = n + 1
@@ -132,7 +130,7 @@ def oracle_min_directed_cut(g):
     n = g.n
     if n > 16:
         raise ValueError("oracle is guarded to n <= 16")
-    pairs = _edge_pairs(g)
+    pairs = list(g.pairs())
     best = None
     for mask in range(1, (1 << n) - 1):
         members = {v for v in range(1, n + 1) if mask >> (v - 1) & 1}
@@ -151,7 +149,7 @@ def oracle_min_vertex_out(g, s, k):
     n = g.n
     if n > 16:
         raise ValueError("oracle is guarded to n <= 16")
-    pairs = _edge_pairs(g)
+    pairs = list(g.pairs())
     others = [v for v in range(1, n + 1) if v != s]
     found = []
     for r in range(0, n):

@@ -13,13 +13,17 @@ from localcuts.graph import Graph
 from test_proven_reach import random_piece, unpruned_cut_below
 
 
+def every_edge(g):
+    """g's endpoint lists and all its ids, as the edge searches take them."""
+    return (*g.endpoints(), range(g.m))
+
+
 def bidirected_piece(rng):
     """A piece of `random_piece` with every edge as a pair of opposite
     arcs."""
-    vertices, edges = random_piece(rng)
-    pairs = [(e.tail, e.head) for e in edges]
-    return vertices, Graph(max(vertices),
-                           pairs + [(b, a) for a, b in pairs]).edges
+    vertices, g = random_piece(rng)
+    pairs = list(g.pairs())
+    return vertices, Graph(max(vertices), pairs + [(b, a) for a, b in pairs])
 
 
 def counting_flows(monkeypatch):
@@ -27,7 +31,7 @@ def counting_flows(monkeypatch):
     inner = flow.st_edge_cut_below
 
     def counted(*args):
-        calls.append(args[2:4])
+        calls.append(args[4:6])
         return inner(*args)
 
     monkeypatch.setattr(flow, "st_edge_cut_below", counted)
@@ -39,12 +43,13 @@ def test_balanced_search_equals_the_unpruned_loop(monkeypatch):
     calls = counting_flows(monkeypatch)
     found = none = 0
     for _ in range(300):
-        vertices, edges = bidirected_piece(rng)
-        assert flow.balanced(edges)
+        vertices, g = bidirected_piece(rng)
+        piece = every_edge(g)
+        assert flow.balanced(*piece)
         for k in (1, 2, 3, 4, 5):
-            want = unpruned_cut_below(vertices, edges, k)
+            want = unpruned_cut_below(vertices, *piece, k)
             calls.clear()
-            assert flow.edge_cut_below(vertices, edges, k) == want
+            assert flow.edge_cut_below(vertices, *piece, k) == want
             if want is None:
                 none += 1
                 assert len(calls) <= len(vertices) - 1
@@ -56,11 +61,11 @@ def test_balanced_search_equals_the_unpruned_loop(monkeypatch):
 
 
 def test_balance_is_read_from_degrees():
-    assert not flow.balanced(Graph(3, [(1, 2), (2, 3), (3, 1),
-                                         (1, 3)]).edges)
+    assert not flow.balanced(*every_edge(Graph(3, [(1, 2), (2, 3), (3, 1),
+                                                     (1, 3)])))
     # balanced but not bidirected: arcs 1 -> 2 and 2 -> 3 have no reverse
-    assert flow.balanced(Graph(3, [(1, 2), (2, 3), (3, 1),
-                                     (1, 3), (3, 1)]).edges)
+    assert flow.balanced(*every_edge(Graph(3, [(1, 2), (2, 3), (3, 1),
+                                                 (1, 3), (3, 1)])))
 
 
 def test_baseline_pieces_of_bidirected_k6_flow_from_the_root_only(
@@ -104,9 +109,9 @@ def test_global_search_flows_from_the_root_only_on_balanced_graphs(
     found = none = 0
     for g in graphs:
         vertices = set(g.vertices())
-        assert flow.balanced(g.edges)
+        assert flow.balanced(*every_edge(g))
         for k in (1, 2, 3, 4, 5):
-            want = unpruned_cut_below(vertices, g.edges, k)
+            want = unpruned_cut_below(vertices, *every_edge(g), k)
             calls.clear()
             assert flow.global_edge_cut_below(g, k) == want
             if want is None:
@@ -126,11 +131,11 @@ def test_global_search_still_flows_both_ways_on_unbalanced_graphs(
     tested = toward_root = 0
     while tested < 150:
         g = strongly_connected_graph(rng)
-        if flow.balanced(g.edges):
+        if flow.balanced(*every_edge(g)):
             continue
         tested += 1
         for k in (1, 2, 3, 4):
-            want = unpruned_cut_below(set(g.vertices()), g.edges, k)
+            want = unpruned_cut_below(set(g.vertices()), *every_edge(g), k)
             calls.clear()
             assert flow.global_edge_cut_below(g, k) == want
             root = calls[0][0] if calls else None

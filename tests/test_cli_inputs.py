@@ -75,3 +75,18 @@ def test_non_finite_tester_degree_exits_2(tmp_path, value):
     assert r.returncode == 2
     assert r.stderr == "error: degree must be positive and finite\n"
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("start", ["0", "4", "7"])
+@pytest.mark.parametrize("command", [
+    ["oracle", "--kind", "min-edge-out"],
+    ["detect-edge-component", "--k", "1", "--delta", "2"],
+])
+def test_start_outside_the_vertices_exits_2(tmp_path, command, start):
+    path = tmp_path / "triangle.txt"
+    path.write_text("3 3\n1 2\n2 3\n3 1\n")
+    r = run_cli(command[0], str(path), "--start", start, *command[1:])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""

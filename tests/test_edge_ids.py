@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from localcuts.generators import random_digraph
 from localcuts.graph import (Edge, Graph, GraphError, UndirectedGraph,
-                             bidirect, reverse_graph)
+                             reverse_graph)
 from localcuts.vertex_cut import SplitGraph, symmetric_volume
 
 
@@ -34,10 +34,10 @@ def test_from_edges_rejects_non_positional_ids():
 def test_reverse_and_bidirect_keep_ids_positional():
     und = UndirectedGraph(3, [(1, 2), (2, 3), (3, 3)])
     d = und.to_directed()
-    assert [(e.id, e.tail, e.head) for e in bidirect(und.edges)] == \
+    assert [(e.id, e.tail, e.head) for e in d.edges] == \
         [(0, 1, 2), (1, 2, 1), (2, 2, 3), (3, 3, 2), (4, 3, 3), (5, 3, 3)]
     assert [e.id for e in d.edges] == list(range(d.m))
-    assert d == Graph.from_edges(und.n, bidirect(und.edges))
+    assert d == Graph(und.n, zip(*und.antiparallel()))
     r = reverse_graph(d)
     assert [e.id for e in r.edges] == list(range(r.m))
 

@@ -96,7 +96,8 @@ def check_queries(g, qs):
     """Answer qs in order on one network of each kind, against fresh
     networks and brute force."""
     vnet = flow.vertex_split_network(g)
-    enet = flow.edge_flow_network(g.n, g.edges)
+    every = (*g.endpoints(), range(g.m))
+    enet = flow.edge_flow_network(g.n, *every)
     brute = {}
     for s, t, k in qs:
         if (s, t) not in brute:
@@ -105,8 +106,8 @@ def check_queries(g, qs):
         res = flow.st_vertex_cut_at_most(g, s, t, k, vnet)
         assert res == flow.st_vertex_cut_at_most(g, s, t, k)
         check_vertex_answer(g, s, t, k, res, want_vertex)
-        res = flow.st_edge_cut_below(g.n, g.edges, s, t, k, enet)
-        assert res == flow.st_edge_cut_below(g.n, g.edges, s, t, k)
+        res = flow.st_edge_cut_below(g.n, *every, s, t, k, enet)
+        assert res == flow.st_edge_cut_below(g.n, *every, s, t, k)
         check_edge_answer(g, s, t, k, res, want_edge)
 
 
@@ -133,15 +134,17 @@ def test_parallel_edges_s_to_t_are_never_cut_at_any_limit():
     for k in (1, 3, 5, 50):
         assert flow.st_vertex_cut_at_most(g, 1, 3, k, net) is None
     # the edge network does cut them, and only below the limit
-    assert flow.st_edge_cut_below(3, g.edges, 1, 3, 3) is None
-    assert flow.st_edge_cut_below(3, g.edges, 1, 3, 4) == ({1}, [0, 1, 2])
+    every = (*g.endpoints(), range(g.m))
+    assert flow.st_edge_cut_below(3, *every, 1, 3, 3) is None
+    assert flow.st_edge_cut_below(3, *every, 1, 3, 4) == ({1}, [0, 1, 2])
 
 
 def test_nonpositive_limit_has_no_cut():
     g = Graph(3, [(1, 2)])
     assert flow.st_vertex_cut_at_most(g, 1, 3, 0) is None
-    assert flow.st_edge_cut_below(3, g.edges, 1, 3, 0) is None
-    assert flow.st_edge_cut_below(3, g.edges, 1, 3, 1) == ({1, 2}, [])
+    every = (*g.endpoints(), range(g.m))
+    assert flow.st_edge_cut_below(3, *every, 1, 3, 0) is None
+    assert flow.st_edge_cut_below(3, *every, 1, 3, 1) == ({1, 2}, [])
 
 
 @st.composite
@@ -170,10 +173,11 @@ def test_network_over_a_piece_answers_as_the_full_size_one():
         g = random_multigraph(rng, n)
         piece = sorted(rng.sample(range(1, n + 1), rng.randint(2, n)))
         inside = set(piece)
-        edges = [e for e in g.edges if e.tail in inside and e.head in inside]
-        net = flow.edge_flow_network(n, edges, piece)
+        edges = (*g.endpoints(), [e.id for e in g.edges
+                                  if e.tail in inside and e.head in inside])
+        net = flow.edge_flow_network(n, *edges, piece)
         assert len(net.arcs) == len(piece)
         for s, t in itertools.permutations(piece, 2):
             for k in (1, 2, 3):
-                assert (flow.st_edge_cut_below(n, edges, s, t, k, net)
-                        == flow.st_edge_cut_below(n, edges, s, t, k))
+                assert (flow.st_edge_cut_below(n, *edges, s, t, k, net)
+                        == flow.st_edge_cut_below(n, *edges, s, t, k))

@@ -61,7 +61,8 @@ def flow_value(g, s, t, k, net, split):
     if split:
         res = flow.st_vertex_cut_at_most(g, s, t, k, net)
     else:
-        res = flow.st_edge_cut_below(g.n, g.edges, s, t, k, net)
+        res = flow.st_edge_cut_below(g.n, *g.endpoints(), range(g.m), s, t,
+                                     k, net)
     return None if res is None else len(res[1])
 
 
@@ -69,7 +70,8 @@ def flow_value(g, s, t, k, net, split):
 @given(multigraph_queries())
 def test_scans_are_deterministic_and_bounded(case):
     g, qs = case
-    for split, build in ((False, lambda: flow.edge_flow_network(g.n, g.edges)),
+    for split, build in ((False, lambda: flow.edge_flow_network(
+                              g.n, *g.endpoints(), range(g.m))),
                          (True, lambda: flow.vertex_split_network(g))):
         net = build()
         for s, t, k in qs + qs[::-1]:
@@ -85,36 +87,34 @@ def test_scans_are_deterministic_and_bounded(case):
 
 @st.composite
 def edge_pieces(draw):
-    """(vertices, edges, k): a strongly connected piece of
-    `random_piece`, or a multigraph with loops and parallel edges that
-    need not be, each either as drawn or with every edge also reversed,
-    so balanced."""
+    """(vertices, g, k): a strongly connected piece of `random_piece`, or
+    a multigraph with loops and parallel edges that need not be, each
+    either as drawn or with every edge also reversed, so balanced."""
     if draw(st.booleans()):
-        vertices, edges = random_piece(random.Random(draw(st.integers())))
+        vertices, g = random_piece(random.Random(draw(st.integers())))
     else:
         g, _ = draw(multigraph_queries())
-        vertices, edges = set(g.vertices()), g.edges
+        vertices = set(g.vertices())
     if draw(st.booleans()):
-        pairs = [(e.tail, e.head) for e in edges]
-        edges = Graph(max(vertices),
-                      pairs + [(b, a) for a, b in pairs]).edges
-    return vertices, edges, draw(st.integers(1, 4))
+        pairs = list(g.pairs())
+        g = Graph(max(vertices), pairs + [(b, a) for a, b in pairs])
+    return vertices, g, draw(st.integers(1, 4))
 
 
 @settings(max_examples=300, deadline=None)
 @given(edge_pieces())
 def test_edge_cut_carries_the_scans_of_its_flows(case):
-    vertices, edges, k = case
+    vertices, g, k = case
     flows = []
     inner = flow.st_edge_cut_below
 
-    def counted(n, edges, s, t, k, net):
+    def counted(n, tail, head, ids, s, t, k, net):
         before = net.scans
-        res = inner(n, edges, s, t, k, net)
+        res = inner(n, tail, head, ids, s, t, k, net)
         flows.append(net.scans - before)
         return res
 
     with mock.patch.object(flow, "st_edge_cut_below", counted):
-        cut = flow.edge_cut_below(vertices, edges, k)
+        cut = flow.edge_cut_below(vertices, *g.endpoints(), range(g.m), k)
     if cut is not None:
         assert cut.arc_scans == sum(flows)

@@ -36,6 +36,18 @@ def test_edge_endpoint_validation():
         Graph(2, [(1, 3)])
 
 
+@pytest.mark.parametrize("cls", [Graph, UndirectedGraph])
+def test_both_graph_kinds_check_their_input_when_built(cls):
+    with pytest.raises(GraphError, match="non-negative"):
+        cls(-1, [])
+    # the first edge with an endpoint outside 1..n is named
+    with pytest.raises(GraphError, match="edge 1 endpoint"):
+        cls(2, [(1, 2), (1, 3), (0, 1)])
+    with pytest.raises(GraphError, match="edge 2 endpoint"):
+        cls(2, [(1, 2), (2, 1), (0, 1)])
+    assert cls(0, []).m == 0
+
+
 def test_load_edge_list_round_trip():
     g = small_graph()
     assert load_edge_list(dump_edge_list(g)) == g

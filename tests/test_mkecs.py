@@ -46,8 +46,8 @@ def test_baseline_classes_partition_and_are_maximal():
             if len(c) == 1:
                 continue
             # the class itself is k-edge-connected
-            sub = [e for e in g.edges if e.tail in c and e.head in c]
-            assert edge_cut_below(set(c), sub, k) is None
+            sub = [e.id for e in g.edges if e.tail in c and e.head in c]
+            assert edge_cut_below(set(c), *g.endpoints(), sub, k) is None
 
 
 def test_global_cut_matches_enumeration_oracle():

@@ -31,9 +31,9 @@ def certificates_and_searches():
         built.append(cert)
         return cert
 
-    def cut_below(vertices, edges, k):
+    def cut_below(vertices, tail, head, edges, k):
         searched.append(edges)
-        return real_cut(vertices, edges, k)
+        return real_cut(vertices, tail, head, edges, k)
 
     with mock.patch.object(mkecs, "_certificate", side_effect=certificate), \
             mock.patch.object(mkecs, "_cut_below", side_effect=cut_below):

@@ -36,11 +36,11 @@ def local_phases():
     real_carve, real_detect = mkecs._carve, mkecs.detect_component_param
     phases = []
 
-    def carve(vertices, edges, cert, queue, k, *rest):
+    def carve(vertices, tail, head, edges, cert, queue, k, *rest):
         read = edges if cert is None else cert
         phase = {"flow": 2 * k * len(read), "detections": [], "queue": queue}
         phases.append(phase)
-        out = real_carve(vertices, edges, cert, queue, k, *rest)
+        out = real_carve(vertices, tail, head, edges, cert, queue, k, *rest)
         phase["carves"] = len(out[0])
         return out
 

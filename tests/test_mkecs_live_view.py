@@ -144,9 +144,9 @@ def detection_cap(g_m, n, k, undirected):
     return mkecs.detection_edge_bound(kd, delta)
 
 
-def inside(side, edges):
-    held = sum(e.tail in side and e.head in side for e in edges)
-    rest = sum(e.tail not in side and e.head not in side for e in edges)
+def inside(side, pairs):
+    held = sum(t in side and h in side for t, h in pairs)
+    rest = sum(t not in side and h not in side for t, h in pairs)
     return held, rest
 
 
@@ -161,9 +161,9 @@ def test_a_cut_with_both_sides_above_the_cap_splits_first(count, seed,
     events = []
     real_cut, real_detect = mkecs._cut_below, mkecs.detect_component_param
 
-    def cut_below(vertices, edges, k):
-        cut = real_cut(vertices, edges, k)
-        events.append(("cut", edges, cut))
+    def cut_below(vertices, tail, head, edges, k):
+        cut = real_cut(vertices, tail, head, edges, k)
+        events.append(("cut", [(tail[i], head[i]) for i in edges], cut))
         return cut
 
     def detect(*args):

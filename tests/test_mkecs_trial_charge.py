@@ -40,7 +40,8 @@ def local_phases():
     real_carve, real_detect = mkecs._carve, mkecs.detect_component_param
     phases = []
 
-    def carve(vertices, edges, cert, queue, k, kd, delta, rng, scans):
+    def carve(vertices, tail, head, edges, cert, queue, k, kd, delta, rng,
+              scans):
         read = edges if cert is None else cert
         flow = 2 * k * len(read)
         phase = {"credit": min(scans, flow), "flow": flow,
@@ -50,8 +51,8 @@ def local_phases():
                  "detections": [], "queue": queue,
                  "vertices": frozenset(vertices)}
         phases.append(phase)
-        out = real_carve(vertices, edges, cert, queue, k, kd, delta, rng,
-                         scans)
+        out = real_carve(vertices, tail, head, edges, cert, queue, k, kd,
+                         delta, rng, scans)
         phase["carved"] = [members for members, _ in out[0]]
         return out
 

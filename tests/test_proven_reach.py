@@ -21,7 +21,7 @@ from test_flow_network import random_multigraph
 def network(g, split):
     if split:
         return flow.vertex_split_network(g)
-    return flow.edge_flow_network(g.n, g.edges)
+    return flow.edge_flow_network(g.n, *g.endpoints(), range(g.m))
 
 
 def no_cut(g, s, t, k, split, net=None):
@@ -29,7 +29,8 @@ def no_cut(g, s, t, k, split, net=None):
     `net` is None)."""
     if split:
         return flow.st_vertex_cut_at_most(g, s, t, k, net) is None
-    return flow.st_edge_cut_below(g.n, g.edges, s, t, k, net) is None
+    return flow.st_edge_cut_below(g.n, *g.endpoints(), range(g.m), s, t, k,
+                                  net) is None
 
 
 def ends(root, v, backward):
@@ -117,7 +118,7 @@ def test_bidirected_k6_cut_search_flows_from_the_root_only(monkeypatch):
     inner = flow.st_edge_cut_below
 
     def counted(*args):
-        calls.append(args[2:4])
+        calls.append(args[4:6])
         return inner(*args)
 
     monkeypatch.setattr(flow, "st_edge_cut_below", counted)
@@ -131,18 +132,19 @@ def test_bidirected_k6_cut_search_flows_from_the_root_only(monkeypatch):
 # the unpruned loops the callers ran before they skipped proven pairs
 
 
-def unpruned_cut_below(vertices, edges, k):
+def unpruned_cut_below(vertices, tail, head, ids, k):
     if len(vertices) <= 1:
         return None
     ordered = sorted(vertices)
     n_max = ordered[-1]
-    net = flow.edge_flow_network(n_max, edges, ordered)
+    net = flow.edge_flow_network(n_max, tail, head, ids, ordered)
     root = min(ordered, key=lambda v: len(net.arcs[v]))
     for v in ordered:
         if v == root:
             continue
         for s, t in ((root, v), (v, root)):
-            res = flow.st_edge_cut_below(n_max, edges, s, t, k, net)
+            res = flow.st_edge_cut_below(n_max, tail, head, ids, s, t, k,
+                                         net)
             if res is not None:
                 side, cut = res
                 return flow.EdgeCut(frozenset(side), tuple(cut))
@@ -153,7 +155,8 @@ def unpruned_exact_edge(g, s, k, net):
     for t in g.vertices():
         if t == s:
             continue
-        res = flow.st_edge_cut_below(g.n, g.edges, s, t, k, net)
+        res = flow.st_edge_cut_below(g.n, *g.endpoints(), range(g.m), s, t,
+                                     k, net)
         if res is not None:
             side, cut = res
             return True, testers.edge_cut.ComponentResult(
@@ -181,7 +184,7 @@ def unpruned_exact_vertex(g, s, k, net):
 
 def random_piece(rng):
     """A strongly connected multigraph on a random set of vertex ids: a
-    cycle, random chords and some parallel copies."""
+    cycle, random chords and some parallel copies; (the ids, the Graph)."""
     n = rng.randint(2, 10)
     ids = rng.sample(range(1, 2 * n + 1), n)
     pairs = list(zip(ids, ids[1:] + ids[:1]))
@@ -189,17 +192,18 @@ def random_piece(rng):
               for _ in range(rng.randint(0, 3 * n))]
     pairs += rng.sample(pairs, rng.randint(0, len(pairs) // 2))
     rng.shuffle(pairs)
-    return set(ids), Graph(max(ids), pairs).edges
+    return set(ids), Graph(max(ids), pairs)
 
 
 def test_cut_below_equals_the_unpruned_loop():
     rng = random.Random(12)
     found = 0
     for _ in range(300):
-        vertices, edges = random_piece(rng)
+        vertices, g = random_piece(rng)
+        piece = (*g.endpoints(), range(g.m))
         for k in (1, 2, 3, 4):
-            want = unpruned_cut_below(vertices, edges, k)
-            assert flow.edge_cut_below(vertices, edges, k) == want
+            want = unpruned_cut_below(vertices, *piece, k)
+            assert flow.edge_cut_below(vertices, *piece, k) == want
             found += want is not None
     assert 100 < found < 1100
 

@@ -89,8 +89,8 @@ def network(kind, g, ids):
     if kind == "split":
         return flow.vertex_split_network(g)
     if kind == "edge":
-        return flow.edge_flow_network(g.n, g.edges)
-    return flow.edge_flow_network(g.n, g.edges, ids)
+        return flow.edge_flow_network(g.n, *g.endpoints(), range(g.m))
+    return flow.edge_flow_network(g.n, *g.endpoints(), range(g.m), ids)
 
 
 @settings(max_examples=400, deadline=None)

@@ -110,7 +110,7 @@ def count_edge_flows(monkeypatch):
     real = flow.st_edge_cut_below
 
     def counting(*args):
-        flows.append(args[2:4])
+        flows.append(args[4:6])
         return real(*args)
 
     monkeypatch.setattr(flow, "st_edge_cut_below", counting)
