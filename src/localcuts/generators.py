@@ -52,10 +52,10 @@ def random_digraph(n, m, rng, allow_parallel=True):
     """Uniform random directed multigraph without self-loops."""
     if n < 1 or (n == 1 and m > 0):
         raise ValueError("infeasible random digraph parameters")
-    pairs = []
+    tail, head = [], []
     seen = set()
     attempts = 0
-    while len(pairs) < m:
+    while len(tail) < m:
         u = rng.randint(1, n)
         v = rng.randint(1, n)
         attempts += 1
@@ -67,24 +67,27 @@ def random_digraph(n, m, rng, allow_parallel=True):
                     raise ValueError("too few distinct pairs for m=%d" % m)
                 continue
             seen.add((u, v))
-        pairs.append((u, v))
-    return Graph(n, pairs), {}
+        tail.append(u)
+        head.append(v)
+    return Graph.from_endpoints(n, tail, head), {}
 
 
-def _random_scc_pairs(vertices, extra_edges, rng):
-    """Strongly connected pair list: a random cycle plus extra edges."""
+def _random_scc_edges(vertices, extra_edges, rng):
+    """Endpoint lists (tail, head) of a strongly connected edge set on
+    `vertices`: a random cycle plus extra edges."""
     order = list(vertices)
     rng.shuffle(order)
-    pairs = [(order[i], order[(i + 1) % len(order)])
-             for i in range(len(order))]
+    tail, head = order[:], order[1:] + order[:1]
+    choice = rng.choice
     for _ in range(extra_edges):
-        u = rng.choice(order)
-        v = rng.choice(order)
+        u = choice(order)
+        v = choice(order)
         while v == u and len(order) > 1:
-            v = rng.choice(order)
+            v = choice(order)
         if u != v:
-            pairs.append((u, v))
-    return pairs
+            tail.append(u)
+            head.append(v)
+    return tail, head
 
 
 def planted_edge_component(component_size, k, blob_edges, rng):
@@ -100,16 +103,20 @@ def planted_edge_component(component_size, k, blob_edges, rng):
         raise ValueError("infeasible planted component parameters")
     nb = max(3, round(blob_edges ** 0.5) + 1)
     n = c + nb
-    pairs = [(i, i % c + 1) for i in range(1, c + 1)]
     blob = list(range(c + 1, n + 1))
-    pairs += _random_scc_pairs(blob, max(0, blob_edges - nb), rng)
+    tail, head = _random_scc_edges(blob, max(0, blob_edges - nb), rng)
+    # the component's cycle 1 -> 2 -> ... -> c -> 1 takes the first ids
+    tail[:0] = range(1, c + 1)
+    head[:0] = list(range(2, c + 1)) + [1]
     for _ in range(k):
-        pairs.append((rng.randint(1, c), rng.choice(blob)))
-    pairs.append((rng.choice(blob), 1))
-    g = Graph(n, pairs)
+        tail.append(rng.randint(1, c))
+        head.append(rng.choice(blob))
+    tail.append(rng.choice(blob))
+    head.append(1)
+    g = Graph.from_endpoints(n, tail, head)
     members = set(range(1, c + 1))
-    assert sum(t in members and h not in members
-               for t, h in g.pairs()) == k
+    # the members are 1..c, so an edge leaves them iff its head is past c
+    assert sum(g.head(e) > c for v in members for e in g.out_ids(v)) == k
     assert is_strongly_connected(g)
     cert = {"component": members, "out_edge_count": k, "edge_size": c}
     return g, cert
@@ -132,17 +139,21 @@ def planted_separator(side_left, side_right, sep_size, rng,
     right = list(range(side_left + sep_size + 1,
                        side_left + sep_size + side_right + 1))
     n = side_left + sep_size + side_right
-    pairs = _random_scc_pairs(left, extra_per_side, rng)
-    pairs += _random_scc_pairs(right, extra_per_side, rng)
+    tail, head = _random_scc_edges(left, extra_per_side, rng)
+    right_tail, right_head = _random_scc_edges(right, extra_per_side, rng)
+    tail += right_tail
+    head += right_head
     for v in mid:
-        pairs.append((rng.choice(left), v))
-        pairs.append((v, rng.choice(right)))
+        tail.append(rng.choice(left))
+        head.append(v)
+        tail.append(v)
+        head.append(rng.choice(right))
     for _ in range(max(2, sep_size)):
-        pairs.append((rng.choice(right), rng.choice(left)))
-    g = Graph(n, pairs)
+        tail.append(rng.choice(right))
+        head.append(rng.choice(left))
+    g = Graph.from_endpoints(n, tail, head)
     lset, mset, rset = set(left), set(mid), set(right)
-    for t, h in g.pairs():
-        assert not (t in lset and h in rset)
+    assert not any(g.head(e) in rset for v in left for e in g.out_ids(v))
     assert is_strongly_connected(g)
     cert = {"left": lset, "middle": mset, "right": rset}
     return g, cert
@@ -152,13 +163,14 @@ def clique_union(count, size, rng=None):
     """Disjoint union of `count` cliques on `size` vertices (undirected)."""
     if count < 1 or size < 2:
         raise ValueError("infeasible clique union parameters")
-    pairs = []
+    tail, head = [], []
     for c in range(count):
         base = c * size
         for i in range(1, size + 1):
             for j in range(i + 1, size + 1):
-                pairs.append((base + i, base + j))
-    und = UndirectedGraph(count * size, pairs)
+                tail.append(base + i)
+                head.append(base + j)
+    und = UndirectedGraph.from_endpoints(count * size, tail, head)
     cert = {"blocks": [set(range(c * size + 1, (c + 1) * size + 1))
                        for c in range(count)],
             "block_edges": size * (size - 1) // 2}
@@ -169,12 +181,13 @@ def cycle_union(count, length, rng=None):
     """Disjoint union of directed cycles."""
     if count < 1 or length < 2:
         raise ValueError("infeasible cycle union parameters")
-    pairs = []
+    tail, head = [], []
     for c in range(count):
         base = c * length
         for i in range(1, length + 1):
-            pairs.append((base + i, base + i % length + 1))
-    g = Graph(count * length, pairs)
+            tail.append(base + i)
+            head.append(base + i % length + 1)
+    g = Graph.from_endpoints(count * length, tail, head)
     cert = {"blocks": [set(range(c * length + 1, (c + 1) * length + 1))
                        for c in range(count)]}
     return g, cert

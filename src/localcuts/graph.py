@@ -4,27 +4,32 @@ Vertices are 1-based integers.  The id of an edge is its position,
 0..m-1, so overlays can reverse individual edges by id without touching
 the base graph.  Graph and UndirectedGraph share one storage: two flat
 int lists, the tails and the heads, checked once when a graph is built
-and handed out by `endpoints()`.  A Graph adds the per-vertex incidence
-lists of ids.  An UndirectedGraph reads as its antiparallel encoding
-(`antiparallel()`: edge i becomes arcs 2i and 2i + 1), as endpoint lists
-or, through `to_directed()`, as a Graph.
+and handed out by `endpoints()`.  `from_endpoints(n, tail, head)` builds
+either from such lists and takes them without a copy; `Graph(n, pairs)`
+and `UndirectedGraph(n, pairs)` unzip pairs in front of it.  A Graph
+adds the per-vertex incidence lists of ids.  An UndirectedGraph reads
+as its antiparallel encoding (`antiparallel()`: edge i becomes arcs 2i
+and 2i + 1), as endpoint lists or, through `to_directed()`, as a Graph.
 
 Graph, Overlay, LiveView and SplitGraph (in vertex_cut) share one probe
 protocol: `out_ids(u)`/`in_ids(u)` give a vertex's incidence lists of
 edge ids, and `tail(eid)`/`head(eid)` the endpoints of an edge in the
-view's current orientation.  The detectors read only this protocol, and
-the forest certificates, component walks, flow networks and mkecs read
-id lists over the endpoint lists, so no driver builds an Edge object.
-Edge triples are the API boundary: `g.edges` and `g.edge(eid)` build
-the list of all m Edges on first use and then cache it on the graph;
-`Overlay.edge` reads its base's, and `SplitGraph.edge` and the
-CountedView probes build one Edge each.
-
-Local algorithms are charged per incidence slot they read: one query
-per slot, plus one for the probe that learns the slot after the last is
+view's current orientation.  The local algorithms read only this
+protocol and are charged per incidence slot they read: one query per
+slot, plus one for the probe that learns the slot after the last is
 absent.  CountedView holds the count and offers that probe one slot at
 a time; the detector's DFS reads a whole incidence list at once and
-charges the view the same amount.
+charges the view the same amount.  Whole-graph builds and walks read a
+Graph's flat lists instead: the generators and `to_directed` fill one
+from endpoint lists, `is_strongly_connected` and `graph_sccs` walk its
+incidence and endpoint lists, and the forest certificates, component
+walks, flow networks and mkecs read id lists over the endpoint lists.
+
+So no driver builds an Edge object.  Edge triples are the API boundary:
+`g.edges` and `g.edge(eid)` build the list of all m Edges on first use
+and then cache it on the graph; `Overlay.edge`, `SplitGraph.edge` and
+the CountedView probes build one Edge each, and a view's
+`has_edge(eid)` tells whether an id is one of its edges.
 """
 
 import dataclasses
@@ -61,11 +66,24 @@ class _EdgeLists:
 
     __slots__ = ("n", "m", "_tail", "_head", "_edges")
 
+    @classmethod
+    def from_endpoints(cls, n, tail, head):
+        """Build from the tail list and the head list, indexed by edge
+        id.  The lists are taken, not copied: the graph owns them from
+        here on, and the caller must not change them."""
+        g = cls.__new__(cls)
+        g._fill(n, tail, head)
+        return g
+
     def _take(self, n, tail, head):
-        """Hold the endpoint lists, which are taken, not copied, once n
-        and every endpoint are checked."""
+        """Hold the endpoint lists, which are taken, not copied, once n,
+        their lengths and every endpoint are checked."""
         if n < 0:
             raise GraphError("vertex count must be non-negative")
+        if not (isinstance(tail, list) and isinstance(head, list)):
+            raise GraphError("endpoints must be given as two lists")
+        if len(tail) != len(head):
+            raise GraphError("%d tails but %d heads" % (len(tail), len(head)))
         if tail and not (1 <= min(tail) and max(tail) <= n
                          and 1 <= min(head) and max(head) <= n):
             eid = next(i for i, t in enumerate(tail)
@@ -97,8 +115,11 @@ class _EdgeLists:
                            for i, (t, h) in enumerate(self.pairs())]
         return self._edges
 
+    def has_edge(self, eid):
+        return 0 <= eid < self.m
+
     def edge(self, eid):
-        if 0 <= eid < self.m:
+        if self.has_edge(eid):
             return self.edges[eid]
         raise GraphError("unknown edge id %d" % eid)
 
@@ -127,8 +148,8 @@ class Graph(_EdgeLists):
         for i, e in enumerate(edges):
             if e.id != i:
                 raise GraphError("edge id %d at position %d" % (e.id, i))
-        g = cls.__new__(cls)
-        g._fill(n, [e.tail for e in edges], [e.head for e in edges])
+        g = cls.from_endpoints(n, [e.tail for e in edges],
+                               [e.head for e in edges])
         g._edges = edges
         return g
 
@@ -182,6 +203,9 @@ class UndirectedGraph(_EdgeLists):
     def __init__(self, n, pairs):
         self._take(n, *_unzip(pairs))
 
+    # an undirected graph indexes nothing: it only holds the lists
+    _fill = _EdgeLists._take
+
     def antiparallel(self):
         """Endpoint lists of the antiparallel encoding: edge i becomes the
         arcs 2i (tail -> head) and 2i + 1 (head -> tail), so an arc maps
@@ -193,7 +217,7 @@ class UndirectedGraph(_EdgeLists):
 
     def to_directed(self):
         """The antiparallel encoding as a Graph."""
-        return Graph(self.n, zip(*self.antiparallel()))
+        return Graph.from_endpoints(self.n, *self.antiparallel())
 
 
 def reverse_graph(g):
@@ -380,10 +404,11 @@ class Overlay:
         return self.base.head(eid)
 
     def edge(self, eid):
-        e = self.base.edge(eid)
-        if eid in self.reversed_ids:
-            return Edge(eid, e.head, e.tail)
-        return e
+        """The Edge of id eid in its current orientation, built alone:
+        the base's list of all its Edges is never built."""
+        if self.base.has_edge(eid):
+            return Edge(eid, self.tail(eid), self.head(eid))
+        raise GraphError("unknown edge id %d" % eid)
 
     def _materialize(self, v):
         if v not in self._out:
@@ -511,18 +536,21 @@ def strongly_connected_components(vertices, succ):
 
 
 def graph_sccs(g):
+    """Strongly connected components of a Graph, in the order of
+    strongly_connected_components, read from its flat lists."""
+    out, head = g._out, g._head
     return strongly_connected_components(
-        g.vertices(), lambda v: map(g.head, g.out_ids(v)))
+        g.vertices(), lambda v: map(head.__getitem__, out[v]))
 
 
-def _reached(ids, end):
+def _reached(inc, end):
     """How many vertices a walk from vertex 1 reaches, leaving v by the
-    edges `ids(v)` to their `end`."""
+    edges of the incidence list inc[v] to their end[eid]."""
     seen = {1}
     stack = [1]
     while stack:
-        for eid in ids(stack.pop()):
-            w = end(eid)
+        for eid in inc[stack.pop()]:
+            w = end[eid]
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -530,12 +558,13 @@ def _reached(ids, end):
 
 
 def is_strongly_connected(g):
-    """One walk forward and one backward from vertex 1, over the probe
-    protocol: g is strongly connected iff both reach every vertex."""
+    """One walk forward and one backward from vertex 1 over a Graph's
+    incidence and endpoint lists (every caller holds a Graph): g is
+    strongly connected iff both reach every vertex."""
     if g.n <= 1:
         return True
-    return (_reached(g.out_ids, g.head) == g.n
-            and _reached(g.in_ids, g.tail) == g.n)
+    return (_reached(g._out, g._head) == g.n
+            and _reached(g._in, g._tail) == g.n)
 
 
 def components(vertices, pairs, undirected=False):

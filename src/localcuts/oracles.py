@@ -149,6 +149,8 @@ def oracle_min_vertex_out(g, s, k):
     n = g.n
     if n > 16:
         raise ValueError("oracle is guarded to n <= 16")
+    if not 1 <= s <= n:
+        raise ValueError("start vertex %d is not in 1..%d" % (s, n))
     pairs = list(g.pairs())
     others = [v for v in range(1, n + 1) if v != s]
     found = []

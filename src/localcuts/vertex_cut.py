@@ -63,10 +63,13 @@ class SplitGraph:
             return h if h == self.s else base.n + h
         return eid - base.m
 
-    def edge(self, eid):
+    def has_edge(self, eid):
         base = self.base
         v = eid - base.m
-        if not (0 <= eid < base.m or (1 <= v <= base.n and v != self.s)):
+        return 0 <= eid < base.m or (1 <= v <= base.n and v != self.s)
+
+    def edge(self, eid):
+        if not self.has_edge(eid):
             raise GraphError("unknown edge id %d" % eid)
         return Edge(eid, self.tail(eid), self.head(eid))
 

@@ -33,7 +33,7 @@ from localcuts.mkecs import (
 from localcuts.generators import (
     random_digraph, planted_edge_component, planted_separator,
     clique_union, cycle_union, figure_shape, farness_lower_bound,
-    _random_scc_pairs,
+    _random_scc_edges,
 )
 from localcuts.oracles import (
     oracle_is_minimal_component, oracle_vertex_connectivity,
@@ -178,8 +178,8 @@ def test_split_graph_correspondence_by_enumeration():
     instances = 0
     while instances < 300:
         n = rng.randint(2, 6)
-        g = Graph(n, _random_scc_pairs(range(1, n + 1),
-                                       rng.randint(0, 2 * n), rng))
+        g = Graph.from_endpoints(n, *_random_scc_edges(
+            range(1, n + 1), rng.randint(0, 2 * n), rng))
         instances += 1
         s = rng.randint(1, n)
         sv = SplitGraph(g, s)
@@ -227,8 +227,8 @@ def test_vertex_connectivity_matches_oracle():
     rng = random.Random(5005)
     for _ in range(200):
         n = rng.randint(2, 30)
-        g = Graph(n, _random_scc_pairs(range(1, n + 1),
-                                       rng.randint(0, 2 * n), rng))
+        g = Graph.from_endpoints(n, *_random_scc_edges(
+            range(1, n + 1), rng.randint(0, 2 * n), rng))
         kappa, cut = vertex_connectivity_directed(g, rng)
         assert kappa == oracle_vertex_connectivity(g)
         if cut is not None:

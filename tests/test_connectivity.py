@@ -12,7 +12,7 @@ from localcuts.connectivity import (
 )
 from localcuts.vertex_cut import component_volume_bound
 from localcuts.generators import (
-    random_digraph, planted_separator, _random_scc_pairs,
+    random_digraph, planted_separator, _random_scc_edges,
 )
 from localcuts.oracles import (
     oracle_vertex_connectivity, oracle_undirected_vertex_connectivity,
@@ -93,7 +93,8 @@ def test_decision_modes_and_soundness():
     rng = random.Random(17)
     for _ in range(60):
         n = rng.randint(2, 14)
-        g = Graph(n, _random_scc_pairs(range(1, n + 1), rng.randint(0, 2 * n), rng))
+        g = Graph.from_endpoints(n, *_random_scc_edges(
+            range(1, n + 1), rng.randint(0, 2 * n), rng))
         kappa = oracle_vertex_connectivity(g)
         for k in (1, 2, kappa, kappa + 1):
             if k < 1 or k > n - 1:
@@ -112,7 +113,8 @@ def test_exact_fallback_matches_oracle():
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randint(2, 10)
-        g = Graph(n, _random_scc_pairs(range(1, n + 1), rng.randint(0, 2 * n), rng))
+        g = Graph.from_endpoints(n, *_random_scc_edges(
+            range(1, n + 1), rng.randint(0, 2 * n), rng))
         kappa, cut = fallback_exact(g)
         assert kappa == oracle_vertex_connectivity(g)
         if cut is not None:
@@ -126,7 +128,8 @@ def test_directed_connectivity_matches_oracle():
     rng = random.Random(53)
     for _ in range(40):
         n = rng.randint(2, 12)
-        g = Graph(n, _random_scc_pairs(range(1, n + 1), rng.randint(0, 2 * n), rng))
+        g = Graph.from_endpoints(n, *_random_scc_edges(
+            range(1, n + 1), rng.randint(0, 2 * n), rng))
         kappa, cut = vertex_connectivity_directed(g, rng)
         assert kappa == oracle_vertex_connectivity(g)
         if cut is not None:

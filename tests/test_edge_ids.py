@@ -31,6 +31,22 @@ def test_from_edges_rejects_non_positional_ids():
     assert g == Graph(2, [(1, 2), (2, 1)])
 
 
+@pytest.mark.parametrize("cls", [Graph, UndirectedGraph])
+def test_from_endpoints_takes_the_lists_it_is_given(cls):
+    tail, head = [1, 2, 3], [2, 3, 1]
+    g = cls.from_endpoints(3, tail, head)
+    assert g == cls(3, [(1, 2), (2, 3), (3, 1)])
+    assert g.endpoints()[0] is tail and g.endpoints()[1] is head
+    with pytest.raises(GraphError, match="3 tails but 2 heads"):
+        cls.from_endpoints(3, [1, 2, 3], [2, 3])
+    with pytest.raises(GraphError, match="edge 1 endpoint out of range"):
+        cls.from_endpoints(3, [1, 4], [2, 1])
+    with pytest.raises(GraphError, match="two lists"):
+        cls.from_endpoints(3, (1, 2), (2, 3))
+    with pytest.raises(GraphError):
+        cls.from_endpoints(-1, [], [])
+
+
 def test_reverse_and_bidirect_keep_ids_positional():
     und = UndirectedGraph(3, [(1, 2), (2, 3), (3, 3)])
     d = und.to_directed()

@@ -20,7 +20,7 @@ from localcuts.connectivity import (PairCuts, fallback_exact,
                                     sample_pair_step,
                                     vertex_connectivity_directed,
                                     vertex_connectivity_undirected)
-from localcuts.generators import _random_scc_pairs, planted_separator
+from localcuts.generators import _random_scc_edges, planted_separator
 from localcuts.graph import Graph
 from localcuts.oracles import oracle_vertex_connectivity
 
@@ -131,8 +131,8 @@ def test_cut_is_none_only_when_no_vertex_cut_exists():
     rng = random.Random(23)
     for _ in range(60):
         n = rng.randint(2, 9)
-        g = Graph(n, _random_scc_pairs(range(1, n + 1),
-                                       rng.randint(0, n * n), rng))
+        g = Graph.from_endpoints(n, *_random_scc_edges(
+            range(1, n + 1), rng.randint(0, n * n), rng))
         kappa = oracle_vertex_connectivity(g)
         complete = len(set(g.pairs()) - {(v, v) for v in g.vertices()}) \
             == n * (n - 1)

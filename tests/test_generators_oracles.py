@@ -11,6 +11,7 @@ from localcuts.generators import (
 from localcuts.oracles import (
     oracle_min_edge_out_component, oracle_is_minimal_component,
     oracle_vertex_connectivity, oracle_min_directed_cut,
+    oracle_min_vertex_out,
 )
 from localcuts.edge_cut import out_edge_ids
 
@@ -86,6 +87,13 @@ def test_oracle_min_component_and_minimality():
     # {1, 2} leaks two edges and so does its subset {1}: not minimal
     assert not oracle_is_minimal_component(g, 1, {1, 2}, 2)
     assert not oracle_is_minimal_component(g, 2, {1, 2, 3}, 1)  # wrong s
+
+
+@pytest.mark.parametrize("s", [0, 4])
+def test_oracle_min_vertex_out_rejects_a_start_outside_the_graph(s):
+    triangle = Graph(3, [(1, 2), (2, 3), (3, 1)])
+    with pytest.raises(ValueError, match="start vertex"):
+        oracle_min_vertex_out(triangle, s, 1)
 
 
 def test_oracle_vertex_connectivity_values():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from localcuts.graph import (CountedView, EdgeListError, Graph, GraphError,
-                             Overlay, UndirectedGraph, dump_edge_list,
-                             graph_sccs, load_edge_list, reverse_graph,
-                             strongly_connected_components)
+from localcuts.graph import (CountedView, Edge, EdgeListError, Graph,
+                             GraphError, Overlay, UndirectedGraph,
+                             dump_edge_list, graph_sccs, load_edge_list,
+                             reverse_graph, strongly_connected_components)
 
 
 def small_graph():
@@ -138,6 +138,23 @@ def test_overlay_path_reversal_checks_contiguity():
     ov2 = Overlay(g)
     with pytest.raises(AssertionError):
         ov2.apply_path_reversal([1, 0])
+
+
+def test_overlay_edge_builds_only_that_edge():
+    g = Graph(3, [(1, 2), (2, 3), (3, 1)])
+    ov = Overlay(g)
+    assert ov.edge(1) == Edge(1, 2, 3)
+    ov.flip(1)
+    assert ov.edge(1) == Edge(1, 3, 2)
+    assert ov.edge(2) == Edge(2, 3, 1)
+    ov.flip(1)
+    assert ov.edge(1) == Edge(1, 2, 3)
+    with pytest.raises(GraphError):
+        ov.edge(3)
+    with pytest.raises(GraphError):
+        ov.edge(-1)
+    # the base graph's list of all m Edges was never built
+    assert g._edges is None
 
 
 def test_overlay_leaves_base_untouched():

@@ -1,8 +1,10 @@
 """Strong connectivity is decided by two walks from vertex 1.
 
-`graph.is_strongly_connected` walks forward and backward from vertex 1
-over the probe protocol; it must agree with Tarjan's listing
-(`graph_sccs`) on every multigraph, reversed views included, and the
+`graph.is_strongly_connected` walks forward and backward from vertex 1,
+and `graph_sccs` lists Tarjan's components, both over a Graph's flat
+incidence and endpoint lists.  On every multigraph, reversed views
+included, both must agree with a reference kept here that walks over
+the probe protocol (`out_ids`/`head`) from every vertex; and the
 directed driver's answer on a graph that is not strongly connected is
 still the sink component that Tarjan lists first.
 """
@@ -37,12 +39,40 @@ def multigraphs(draw):
     return Graph(n, draw(st.permutations(pairs)))
 
 
+def reach(g, s):
+    """The vertices a walk from s reaches, over the probe protocol."""
+    seen = {s}
+    todo = [s]
+    while todo:
+        for eid in g.out_ids(todo.pop()):
+            if g.head(eid) not in seen:
+                seen.add(g.head(eid))
+                todo.append(g.head(eid))
+    return seen
+
+
+def reference_components(g):
+    """Strongly connected components as mutual reach, vertex by vertex."""
+    reaches = {v: reach(g, v) for v in g.vertices()}
+    return {frozenset(w for w in reaches[v] if v in reaches[w])
+            for v in g.vertices()}
+
+
 @settings(max_examples=500, deadline=None)
 @given(multigraphs())
 def test_walks_agree_with_tarjan(g):
     for h in (g, reverse_graph(g)):
+        want = reference_components(h)
         # n = 0 has no component and counts as strongly connected
-        assert is_strongly_connected(h) == (len(graph_sccs(h)) <= 1)
+        assert is_strongly_connected(h) == (len(want) <= 1)
+        comps = graph_sccs(h)
+        assert {frozenset(c) for c in comps} == want
+        assert len(comps) == len(want)
+        # sinks first: an edge between components goes to an earlier one
+        index = {v: i for i, c in enumerate(comps) for v in c}
+        for v in h.vertices():
+            for eid in h.out_ids(v):
+                assert index[h.head(eid)] <= index[v]
 
 
 def test_small_cases():
