@@ -11,23 +11,26 @@ adds the per-vertex incidence lists of ids.  An UndirectedGraph reads
 as its antiparallel encoding (`antiparallel()`: edge i becomes arcs 2i
 and 2i + 1), as endpoint lists or, through `to_directed()`, as a Graph.
 
-Graph, Overlay, LiveView and SplitGraph (in vertex_cut) share one probe
-protocol: `out_ids(u)`/`in_ids(u)` give a vertex's incidence lists of
-edge ids, and `tail(eid)`/`head(eid)` the endpoints of an edge in the
-view's current orientation.  The local algorithms read only this
-protocol and are charged per incidence slot they read: one query per
-slot, plus one for the probe that learns the slot after the last is
-absent.  CountedView holds the count and offers that probe one slot at
-a time; the detector's DFS reads a whole incidence list at once and
-charges the view the same amount.  Whole-graph builds and walks read a
-Graph's flat lists instead: the generators and `to_directed` fill one
-from endpoint lists, `is_strongly_connected` and `graph_sccs` walk its
-incidence and endpoint lists, and the forest certificates, component
-walks, flow networks and mkecs read id lists over the endpoint lists.
+Graph, Overlay and SplitGraph (in vertex_cut) share one probe protocol:
+`out_ids(u)`/`in_ids(u)` give a vertex's incidence lists of edge ids,
+and `tail(eid)`/`head(eid)` the endpoints of an edge in the view's
+current orientation.  Overlay is the one edited view: a base graph read
+through sparse per-vertex edits, made in place, which the detector's
+path reversals (`flip`) and mkecs' carves (`remove`) both make.  The
+local algorithms read only this protocol and are charged per incidence
+slot they read: one query per slot, plus one for the probe that learns
+the slot after the last is absent.  CountedView holds the count and
+offers that probe one slot at a time; the detector's DFS reads a whole
+incidence list at once and charges the view the same amount.
+Whole-graph builds and walks read a Graph's flat lists instead: the
+generators and `to_directed` fill one from endpoint lists,
+`is_strongly_connected` and `graph_sccs` walk its incidence and endpoint
+lists, and the forest certificates, component walks, flow networks and
+mkecs read id lists over the endpoint lists.
 
 So no driver builds an Edge object.  Edge triples are the API boundary:
-`g.edges` and `g.edge(eid)` build the list of all m Edges on first use
-and then cache it on the graph; `Overlay.edge`, `SplitGraph.edge` and
+`g.edges` builds the list of all m Edges on first use and then caches
+it on the graph; `g.edge(eid)`, `Overlay.edge`, `SplitGraph.edge` and
 the CountedView probes build one Edge each, and a view's
 `has_edge(eid)` tells whether an id is one of its edges.
 """
@@ -119,8 +122,10 @@ class _EdgeLists:
         return 0 <= eid < self.m
 
     def edge(self, eid):
+        """The Edge of id eid, built alone: the list of all m Edges is
+        never built."""
         if self.has_edge(eid):
-            return self.edges[eid]
+            return Edge(eid, self._tail[eid], self._head[eid])
         raise GraphError("unknown edge id %d" % eid)
 
     def __eq__(self, other):
@@ -225,95 +230,6 @@ def reverse_graph(g):
     return g._reversed()
 
 
-class LiveView:
-    """The edges of a base graph between its live vertices, on the probe
-    protocol, for a caller that removes vertex sets one at a time.
-
-    A live vertex's `out_ids`/`in_ids` list its edges to and from live
-    vertices in the base graph's order, and a removed vertex's nothing;
-    ids are the base graph's, so `tail`/`head` are its own methods.
-    `LiveView(g)` starts with every vertex live.  `without` removes a
-    set in time linear in the degrees of the set and of the live
-    vertices next to it, and returns the view of what is left; the view
-    it is called on keeps answering as before, from the lists that were
-    replaced, so a caller may hold every view it made.  `reverse_graph`
-    works as on a Graph; a reversed view follows its view, and is not
-    removed from itself.
-    """
-
-    __slots__ = ("n", "_out", "_in", "tail", "head", "_rev", "_past")
-
-    def __init__(self, g):
-        self.n = g.n
-        self._out, self._in = list(g._out), list(g._in)
-        self.tail, self.head = g.tail, g.head
-        self._rev = self._past = None
-
-    def has_vertex(self, v):
-        return 1 <= v <= self.n
-
-    def vertices(self):
-        return range(1, self.n + 1)
-
-    def out_ids(self, u):
-        return self._out[u]
-
-    def in_ids(self, u):
-        return self._in[u]
-
-    def _reversed(self):
-        """This view with every edge flipped, sharing its lists; made
-        once per view."""
-        if self._rev is None:
-            rev = self._rev = LiveView.__new__(LiveView)
-            rev.n, rev._out, rev._in = self.n, self._in, self._out
-            rev.tail, rev.head = self.head, self.tail
-        return self._rev
-
-    def without(self, members, frontier):
-        """The view with `members` removed; `frontier` must hold every
-        live vertex outside them with an edge to or from them.  Only the
-        lists of those vertices are replaced, never changed in place."""
-        out, inc, head, tail = self._out, self._in, self.head, self.tail
-        saved_out, saved_in = {}, {}
-        for v in members:
-            saved_out[v], saved_in[v] = out[v], inc[v]
-            out[v] = inc[v] = ()
-        for v in frontier:
-            saved_out[v], saved_in[v] = out[v], inc[v]
-            out[v] = [e for e in out[v] if head(e) not in members]
-            inc[v] = [e for e in inc[v] if tail(e) not in members]
-        new = LiveView.__new__(LiveView)
-        new.n, new._out, new._in = self.n, out, inc
-        new.tail, new.head, new._rev = tail, head, None
-        # this view, and its reverse, now read the replaced lists first
-        past = new._past = (_Past(saved_out, out), _Past(saved_in, inc))
-        if self._past is not None:
-            self._past[0].later, self._past[1].later = past
-        self._out, self._in = past
-        if self._rev is not None:
-            self._rev._out, self._rev._in = past[::-1]
-        return new
-
-
-class _Past:
-    """Incidence lists as a retired LiveView saw them: the lists that
-    the removal retiring it replaced, over what the next view saw."""
-
-    __slots__ = ("saved", "later")
-
-    def __init__(self, saved, later):
-        self.saved, self.later = saved, later
-
-    def __getitem__(self, v):
-        past = self
-        while isinstance(past, _Past):
-            if v in past.saved:
-                return past.saved[v]
-            past = past.later
-        return past[v]
-
-
 def _parse_edge_list(text):
     """(n, pairs) of the delimited format: header "n m", then one
     "tail head" per line.
@@ -371,12 +287,16 @@ def load_undirected_edge_list(text):
 
 
 class Overlay:
-    """Mutable orientation overlay on a base graph.
+    """A base graph read through sparse per-vertex edits, made in place.
 
-    Tracks a set of reversed edge ids.  A vertex's incidence lists are
-    copied from the base graph when a flip first touches it; a flipped
-    edge is appended at the end of the gaining endpoint's list.  The
-    base graph is never modified.
+    Two edits: `flip` reverses one edge, and `remove` drops a vertex set
+    with every edge at it.  Tracks a set of reversed edge ids, and holds
+    its own incidence lists only for the vertices an edit touched; every
+    other vertex reads the base graph's.  A flip copies both lists of
+    each endpoint when it first touches it, and appends the flipped edge
+    at the end of the gaining endpoint's list.  The base graph is never
+    modified.  `reverse_graph` works as on a Graph: the reverse shares
+    this overlay's edits, so it follows later flips and removals.
     """
 
     __slots__ = ("base", "reversed_ids", "_out", "_in")
@@ -387,8 +307,20 @@ class Overlay:
         self._out = {}
         self._in = {}
 
+    def _reversed(self):
+        """This overlay with every edge flipped, over the base's reverse,
+        sharing its reversed ids and edited lists (the in-lists here are
+        the out-lists there)."""
+        rev = Overlay(reverse_graph(self.base))
+        rev.reversed_ids, rev._out, rev._in = (self.reversed_ids, self._in,
+                                              self._out)
+        return rev
+
     def has_vertex(self, v):
         return self.base.has_vertex(v)
+
+    def vertices(self):
+        return self.base.vertices()
 
     def is_reversed(self, eid):
         return eid in self.reversed_ids
@@ -437,6 +369,21 @@ class Overlay:
             self.reversed_ids.discard(eid)
         else:
             self.reversed_ids.add(eid)
+
+    def remove(self, members):
+        """Drop the vertex set `members` and every edge at it.  The dead
+        ids are read from the members' own lists, and their other ends
+        are the neighbours whose lists lose them, in order; so a removal
+        reads only the lists of the members and their neighbours."""
+        dead = set()
+        for v in members:
+            dead.update(self.out_ids(v))
+            dead.update(self.in_ids(v))
+            self._out[v], self._in[v] = [], []
+        near = {w for e in dead for w in (self.tail(e), self.head(e))}
+        for w in near.difference(members):
+            self._out[w] = [e for e in self.out_ids(w) if e not in dead]
+            self._in[w] = [e for e in self.in_ids(w) if e not in dead]
 
     def apply_path_reversal(self, edge_ids):
         """Flip every edge of a directed path (given in path order)."""

@@ -32,11 +32,12 @@ local phase carves.
 A local phase costs what it carves.  It builds the graph detection
 reads once, and detection reads it as built until the first carve.  A
 carve reads only its members' incidence lists in the piece, and from
-then on detection reads a `graph.LiveView`, in which the carve replaced
-the lists of the members and of their live neighbours.  The live edge
-list is rebuilt once, when the phase ends.  So a carve costs the
-volume of its members and their neighbours, not the piece's size, and
-a run builds a few graphs per piece, not one per carve.
+then on detection reads one `graph.Overlay` of that graph, from which
+each carve removes its members (`Overlay.remove`), editing only the
+lists of the members and of their live neighbours.  The live edge list
+is rebuilt once, when the phase ends.  So a carve costs the volume of
+its members and their neighbours, not the piece's size, and a run
+builds a few graphs per piece, not one per carve.
 
 Detection takes its starts from the vertices of a piece, lowest
 out-degree first, where sides with few leaving edges are likely; after a
@@ -89,7 +90,7 @@ from collections import Counter, deque
 from .edge_cut import (detect_component_param, high_probability,
                        repetitions_for, round_budget, trial_edge_bound)
 from .flow import edge_cut_below as _cut_below
-from .graph import (Graph, LiveView, UndirectedGraph, components,
+from .graph import (Graph, Overlay, UndirectedGraph, components,
                     reverse_graph, scan_first_forests)
 
 
@@ -224,12 +225,13 @@ def _carve(vertices, tail, head, edges, cert, queue, k, kd, delta, rng,
     built until the first carve.  A carve reads its members' edges from
     the piece's incidence lists (that graph itself for a directed piece,
     a graph of `edges` built at the first carve for an undirected one),
-    skipping edges to carved vertices.  Each carve then makes a new
-    `LiveView` of the detection graph without its members, replacing
-    the lists of the members and of the live vertices next to them; a
-    view lists the live edges in the built graph's order, so detection
-    draws as on a graph rebuilt from them.  The live edges are listed
-    once, when the phase ends.
+    skipping edges to carved vertices.  The first carve wraps the
+    detection graph in an `Overlay`, and each carve removes its members
+    from it, editing the lists of the members and of the live vertices
+    next to them; the overlay lists the live edges in the built graph's
+    order, so detection draws as on a graph rebuilt from them, and its
+    reverse follows the removals.  The live edges are listed once, when
+    the phase ends.
 
     An undirected piece is read forward only on `cert`, its bidirected,
     so balanced, certificate, less the arcs at carved components.  What
@@ -322,8 +324,11 @@ def _carve(vertices, tail, head, edges, cert, queue, k, kd, delta, rng,
         carved.append((members, [edges[i] for i in sorted(inner)]))
         credit += flow_cost
         live -= members
-        view = (view or LiveView(fwd)).without(members, frontier)
-        fwd, bwd = view, None
+        if view is None:
+            # the reverse of a Graph misses removals; an overlay's follows them
+            fwd = view = Overlay(fwd)
+            bwd = None
+        view.remove(members)
         unbalanced -= members
         for v in sorted(frontier):
             excess[v] -= frontier[v]

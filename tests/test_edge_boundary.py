@@ -1,5 +1,6 @@
 """Every layer reads edge ids and endpoints only: no driver builds an
-Edge, and a graph builds its Edge list only when asked for it."""
+Edge, a graph builds its Edge list only when asked for it, and
+`edge(eid)` builds only the one Edge asked for."""
 
 import random
 
@@ -48,9 +49,9 @@ def test_detection_path_builds_no_edge(monkeypatch):
     assert symmetric_volume(g, comp) > 10
     assert is_strongly_connected(g)
     assert built == []
-    # the API boundary builds the whole list once, through the counter
-    assert g.edge(0) is g.edges[0]
-    assert len(built) == g.m
+    # the API boundary builds the one Edge asked for, and no Edge list
+    assert g.edge(0) == Edge(0, g.tail(0), g.head(0))
+    assert len(built) == 1 and g._edges is None
 
 
 def test_edge_has_no_instance_dict():

@@ -15,7 +15,7 @@ from localcuts.vertex_cut import SplitGraph, symmetric_volume
 def test_edge_id_is_position():
     g = Graph(3, [(1, 2), (2, 3), (3, 1), (1, 1)])
     for i, e in enumerate(g.edges):
-        assert e.id == i and g.edge(i) is e
+        assert e.id == i and g.edge(i) == e
     with pytest.raises(GraphError):
         g.edge(-1)
     with pytest.raises(GraphError):

@@ -165,6 +165,48 @@ def test_overlay_leaves_base_untouched():
     assert g.edge(0).tail == 1
 
 
+class ReadLog:
+    """A Graph on the probe protocol that records whose incidence lists
+    were read."""
+
+    def __init__(self, g):
+        self.g, self.read = g, set()
+        self.tail, self.head = g.tail, g.head
+
+    def out_ids(self, v):
+        self.read.add(v)
+        return self.g.out_ids(v)
+
+    def in_ids(self, v):
+        self.read.add(v)
+        return self.g.in_ids(v)
+
+
+def test_overlay_removal_reads_only_the_members_and_their_neighbours():
+    # a hub 1 joined both ways to 50 triangles, and a 200-cycle that
+    # no removal touches
+    pairs = []
+    for c in range(50):
+        a = 3 * c + 2
+        tri = [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
+        pairs += tri + [(h, t) for t, h in tri] + [(1, a), (a, 1)]
+    pairs += [(152 + i, 152 + (i + 1) % 200) for i in range(200)]
+    base = ReadLog(Graph(351, pairs))
+    ov = Overlay(base)
+    for c in (0, 7, 8, 49):
+        a = 3 * c + 2
+        members = {a, a + 1, a + 2}
+        base.read.clear()
+        ov.remove(members)
+        # the hub's lists were edited by the first removal, so later
+        # ones read them from the overlay, not the base
+        assert base.read == (members | {1} if c == 0 else members)
+        assert all(not ov.out_ids(v) and not ov.in_ids(v) for v in members)
+        assert not {ov.head(e) for e in ov.out_ids(1)} & members
+        assert not {ov.tail(e) for e in ov.in_ids(1)} & members
+    assert len(ov.out_ids(1)) == len(ov.in_ids(1)) == 46
+
+
 def test_scc_decomposition():
     g = Graph(5, [(1, 2), (2, 1), (2, 3), (3, 4), (4, 3), (4, 5)])
     comps = {frozenset(c) for c in graph_sccs(g)}

@@ -26,9 +26,11 @@ from test_mkecs_requeue import clique_chain
 
 @contextlib.contextmanager
 def detection_log():
-    """Record every detection mkecs runs as (backward, graph, start,
+    """Record every detection mkecs runs as (backward, balanced, start,
     found); a detection is backward when it reads a graph returned by
-    `reverse_graph`.  On exit, check the orientation rule."""
+    `reverse_graph`, and `balanced` is whether the graph it read was
+    balanced when it ran: carves edit that graph in place, so it is
+    checked then, not at exit.  On exit, check the orientation rule."""
     real_detect = mkecs.detect_component_param
     real_reverse = mkecs.reverse_graph
     reversed_graphs = []
@@ -42,7 +44,7 @@ def detection_log():
     def detect(g, s, *rest):
         res = real_detect(g, s, *rest)
         backward = any(g is rev for rev in reversed_graphs)
-        log.append((backward, g, s, bool(res.members)))
+        log.append((backward, balanced(g), s, bool(res.members)))
         return res
 
     with mock.patch.object(mkecs, "reverse_graph", side_effect=reverse), \
@@ -61,14 +63,14 @@ def check_orientation_rule(log):
     same start exactly when the live graph it read is unbalanced: a
     carve that leaves the live graph balanced again ends backward
     detection."""
-    for i, (backward, g, s, found) in enumerate(log):
+    for i, (backward, was_balanced, s, found) in enumerate(log):
         if backward:
             prev_backward, _, prev_s, prev_found = log[i - 1]
             assert not prev_backward and prev_s == s and not prev_found
             continue
         nxt = log[i + 1] if i + 1 < len(log) else None
         followed = nxt is not None and nxt[0] and nxt[2] == s
-        assert followed == (not found and not balanced(g))
+        assert followed == (not found and not was_balanced)
 
 
 def bidirected(pairs):

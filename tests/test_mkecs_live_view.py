@@ -1,12 +1,12 @@
 """mkecs local phases cost what they carve.
 
 Detection reads one graph per local phase: the piece's detection graph,
-as it is built, until the first carve, and from then on a
-`graph.LiveView` of it, which a carve updates by reading only its
-members' incidence lists.  The live edge list is rebuilt once per phase,
-so Graph builds per run follow the pieces, not the carves.  Each carve
-returns a new view, and every earlier view keeps answering as it did,
-so a caller may hold them all.
+as it is built, until the first carve, and from then on one
+`graph.Overlay` of it, from which each carve removes its members
+(`Overlay.remove`) by reading only their incidence lists and those of
+their neighbours.  The live edge list is rebuilt once per phase, so
+Graph builds per run follow the pieces, not the carves.  The overlay is
+edited in place, and its reverse follows the removals.
 
 A piece whose first cut has more than the detector's edge cap on both
 sides, counted on the graph detection reads, is split by that cut at
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcuts import graph, mkecs
-from localcuts.graph import Graph, LiveView, reverse_graph
+from localcuts.graph import Graph, Overlay, reverse_graph
 
 from test_mkecs_requeue import clique_chain
 
@@ -42,44 +42,38 @@ def rebuilt(n, pairs, live):
 
 @st.composite
 def removals(draw):
-    """A multigraph with loops and parallel edges, and disjoint vertex
-    sets removed from it one after the other."""
+    """A multigraph with loops and parallel edges, disjoint vertex sets
+    removed from it one after the other, and the step (0 before the
+    first removal) at which its reverse is taken."""
     n = draw(st.integers(1, 9))
     vertex = st.integers(1, n)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=5 * n))
     order = draw(st.permutations(range(1, n + 1)))
     cuts = sorted(draw(st.sets(st.integers(1, n), max_size=4)))
     sets = [set(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-    reverse_at = draw(st.sets(st.integers(0, len(sets))))
+    reverse_at = draw(st.integers(0, len(sets)))
     return n, pairs, sets, reverse_at
 
 
 @settings(max_examples=300, deadline=None)
 @given(removals())
-def test_every_view_answers_as_the_graph_rebuilt_at_its_removal(case):
+def test_the_overlay_answers_as_the_graph_rebuilt_after_each_removal(case):
     n, pairs, sets, reverse_at = case
-    base = Graph(n, pairs)
-    view = LiveView(base)
+    view = Overlay(Graph(n, pairs))
     live = set(range(1, n + 1))
-    held = []       # (view, its reverse or None, live vertices then)
-
-    def hold(view):
-        rev = reverse_graph(view) if len(held) in reverse_at else None
-        held.append((view, rev, set(live)))
-
-    hold(view)
-    for members in sets:
-        frontier = {w for t, h in pairs for v, w in ((t, h), (h, t))
-                    if v in members and w in live - members}
-        live -= members
-        view = view.without(members, frontier)
-        hold(view)
     vertices = range(1, n + 1)
-    for view, rev, then in held:
-        want = rebuilt(n, pairs, then)
+    rev = None
+    for step in range(len(sets) + 1):
+        if step:
+            live -= sets[step - 1]
+            view.remove(sets[step - 1])
+        if step == reverse_at:
+            rev = reverse_graph(view)
+        want = rebuilt(n, pairs, live)
         assert list(view.vertices()) == list(want.vertices())
         assert lists(view, vertices) == lists(want, vertices)
         if rev is not None:
+            # taken at an earlier step, it follows the later removals
             assert lists(rev, vertices) == lists(reverse_graph(want),
                                                  vertices)
 
@@ -132,6 +126,31 @@ def test_graph_builds_follow_the_pieces_not_the_carves(count):
         # the detection graph per phase, and an undirected piece's live
         # edges once it carves
         assert builds <= per_phase * called <= 12
+
+
+def hub_of_triangles(count):
+    """Triangles 2..3count+1, each joined to the hub 1 by one edge; its
+    directed encoding joins the hub both ways to bidirected triangles."""
+    pairs = []
+    for c in range(count):
+        a = 3 * c + 2
+        pairs += [(a, a + 1), (a + 1, a + 2), (a, a + 2), (1, a)]
+    return graph.UndirectedGraph(3 * count + 1, pairs)
+
+
+def test_both_drivers_equal_the_baseline_on_a_hub_of_triangles():
+    # at k = 2 every triangle and the hub are classes, and each carve
+    # removes a triangle next to the hub, whose lists it edits again
+    und = hub_of_triangles(60)
+    g = und.to_directed()
+    expected = mkecs.baseline_mkecs(g, 2)
+    assert len(expected.classes) == 61
+    assert mkecs.baseline_mkecs_undirected(und, 2) == expected
+    for run in (lambda: mkecs.mkecs_directed(g, 2, random.Random(0)),
+                lambda: mkecs.mkecs_undirected(und, 2, random.Random(0))):
+        _, carves, got = phases(run)
+        assert got == expected
+        assert carves >= 30
 
 
 def detection_cap(g_m, n, k, undirected):
